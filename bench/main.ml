@@ -265,7 +265,7 @@ let ablation_scan () =
     E.commit eng txn |> Result.get_ok;
     (n, Sias_util.Simclock.now clock -. t0)
   in
-  let n1, t_vid = time_scan E.scan_vidmap in
+  let n1, t_vid = time_scan E.scan in
   let n2, t_trad = time_scan E.scan_traditional in
   note "vidmap scan:      %d rows in %.4f simulated s" n1 t_vid;
   note "traditional scan: %d rows in %.4f simulated s (%.1fx slower)" n2 t_trad

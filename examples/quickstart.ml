@@ -53,6 +53,6 @@ let () =
     (Flashsim.Blocktrace.write_count trace)
     (1024.0 *. Flashsim.Blocktrace.write_mb trace)
     (Flashsim.Blocktrace.read_count trace);
-  let walks, visited = E.chain_walk_stats eng in
+  let walks, visited = E.walk_stats eng in
   Format.printf "version-chain walks: %d (%.2f versions each)@." walks
     (if walks = 0 then 0.0 else float_of_int visited /. float_of_int walks)

@@ -366,6 +366,9 @@ let tick t =
   wal_pressure t;
   match t.tickers with [] -> () | fs -> List.iter (fun f -> f ()) fs
 
+let make_wal_room t ~payload_bytes =
+  if t.degraded = None && not (Wal.fits t.wal ~payload_bytes) then ignore (reclaim_wal t)
+
 let log_op t ~xid ~rel ~kind ~payload =
   if Wal.capacity_bytes t.wal <> None then Hashtbl.replace t.wrote xid ();
   append_wal t ~xid ~rel ~kind ~payload

@@ -207,6 +207,13 @@ val reclaim_wal : t -> bool
     holds. Returns whether any bytes were freed. No-op (returns [false])
     when no record was appended since the last reclamation. *)
 
+val make_wal_room : t -> payload_bytes:int -> unit
+(** Run the emergency reclamation now if a record with a payload of
+    [payload_bytes] would not fit the log. For callers that changed a page
+    before logging the change: a reclamation inside {!log_op} would
+    checkpoint that page under its old LSN, and redo would then apply the
+    record a second time. *)
+
 val degraded : t -> string option
 (** [Some reason] while in read-only degraded mode. *)
 

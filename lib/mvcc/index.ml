@@ -95,6 +95,18 @@ type summary = {
   s_merges : int;
 }
 
+(* Tables carry at most a couple of secondary indexes: probe linearly,
+   without allocating. *)
+let find_on secondary col =
+  let n = Array.length secondary in
+  let rec go i =
+    if i >= n then None
+    else
+      let c, index = secondary.(i) in
+      if c = col then Some index else go (i + 1)
+  in
+  go 0
+
 let summary (Packed ((module M), i, rel)) =
   {
     s_rel = rel;
@@ -105,3 +117,6 @@ let summary (Packed ((module M), i, rel)) =
     s_splits = M.splits i;
     s_merges = M.merges i;
   }
+
+let summaries pk secondary =
+  summary pk :: Array.to_list (Array.map (fun (_, i) -> summary i) secondary)

@@ -67,6 +67,10 @@ val height : t -> int
 val node_count : t -> int
 val iter : t -> (int -> int -> unit) -> unit
 
+val find_on : (int * t) array -> int -> t option
+(** [find_on secondary col]: the index on column [col] among a table's
+    (column, index) pairs. *)
+
 type summary = {
   s_rel : int;
   s_entries : int;
@@ -79,3 +83,6 @@ type summary = {
 
 val summary : t -> summary
 (** One stats snapshot, the unit of {!Engine.S.index_summary}. *)
+
+val summaries : t -> (int * t) array -> summary list
+(** A table's primary-key index, then its secondaries in order. *)

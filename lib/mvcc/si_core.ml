@@ -6,8 +6,6 @@
 
 module Tid = Sias_storage.Tid
 module Heapfile = Sias_storage.Heapfile
-module Bufpool = Sias_storage.Bufpool
-module Btree = Sias_index.Btree
 module Txn = Sias_txn.Txn
 module Contention = Sias_txn.Contention
 module Wal = Sias_wal.Wal
@@ -100,18 +98,6 @@ module Make (P : PROFILE) = struct
       (fun (col, index) ->
         ignore (Index.delete index ~key:(Value.to_key row.(col)) ~payload:tidi))
       table.secondary
-
-  (* Secondary indexes live in a small array probed linearly (tables have
-     at most a couple); replaces the old List.assoc. *)
-  let find_index_on table col =
-    let n = Array.length table.secondary in
-    let rec go i =
-      if i >= n then None
-      else
-        let c, index = table.secondary.(i) in
-        if c = col then Some index else go (i + 1)
-    in
-    go 0
 
   let place_version t txn table row =
     let item = Tuple.Si.encode ~xmin:txn.Txn.xid ~row in
@@ -266,7 +252,7 @@ module Make (P : PROFILE) = struct
     write_version t txn table ~pk ~make_row:(fun _ -> None) ~tombstone:false
 
   let lookup t txn table ~col ~key =
-    match find_index_on table col with
+    match Index.find_on table.secondary col with
     | None -> invalid_arg "Si_engine.lookup: no index on column"
     | Some index ->
         let tids = Index.lookup index ~key in
@@ -348,22 +334,13 @@ module Make (P : PROFILE) = struct
 
   let gc t = List.iter (vacuum_table t) t.tables
 
-  let discover_nblocks pool ~rel =
-    let b = ref 0 in
-    while Bufpool.on_disk pool ~rel ~block:!b || Bufpool.resident pool ~rel ~block:!b do
-      incr b
-    done;
-    !b
-
   let recover t =
     Walcodec.replay_clog t.db;
     Walcodec.redo t.db ~since_lsn:0;
     List.iter
       (fun table ->
         Sias_chaos.Crashpoint.reach "recover.heap.restore";
-        let nblocks = discover_nblocks t.db.Db.pool ~rel:table.rel in
-        table.heap <-
-          Heapfile.restore t.db.Db.pool ~rel:table.rel ~placement:P.placement ~nblocks;
+        table.heap <- Heapfile.restore t.db.Db.pool ~rel:table.rel ~placement:P.placement;
         table.pk_index <- Index.recover t.db table.pk_index;
         table.secondary <-
           Array.map (fun (col, idx) -> (col, Index.recover t.db idx)) table.secondary;
@@ -398,11 +375,6 @@ module Make (P : PROFILE) = struct
   let vacuum_stats t = (t.vacuumed_versions, t.vacuumed_pages)
 
   let index_summary t =
-    List.map
-      (fun table ->
-        ( table.tname,
-          Index.summary table.pk_index
-          :: Array.to_list (Array.map (fun (_, i) -> Index.summary i) table.secondary) ))
-      t.tables
+    List.map (fun table -> (table.tname, Index.summaries table.pk_index table.secondary)) t.tables
 
 end

@@ -9,33 +9,12 @@
     stream of monotonically increasing page appends (Figure 3), deferred
     by the buffer-flush threshold (t1/t2, Section 5.2). Indexes map keys
     to VIDs, so updates that do not change the key never touch an index
-    (Section 4.3). Deletes append tombstone versions (Section 4.2.2). *)
+    (Section 4.3). Deletes append tombstone versions (Section 4.2.2).
+    An instantiation of {!Sias_core.Make}. *)
 
-include Engine.S
+include Sias_core.S
 
 val scan_traditional : t -> Sias_txn.Txn.t -> table -> (Value.t array -> unit) -> int
 (** The HDD-era scan for comparison: fetch {e all} tuple versions in heap
     order and check each individually (reproduces the paper's Section
     4.2.1 discussion and the scan ablation bench). *)
-
-val scan_vidmap : t -> Sias_txn.Txn.t -> table -> (Value.t array -> unit) -> int
-(** Alias of {!scan}: Algorithm 1 over the VID_map. *)
-
-type gc_stats = {
-  pruned_versions : int;  (** dead versions removed by chain truncation *)
-  relocated_versions : int;  (** live versions re-appended from victim pages *)
-  reclaimed_pages : int;
-}
-
-val gc_stats : t -> gc_stats
-
-val chain_walk_stats : t -> int * int
-(** (visibility walks, versions visited) — average chain depth probe. *)
-
-val table_vidmap : t -> table -> Vidmap.t
-(** Expose the VID_map for white-box tests and benches. *)
-
-val check_invariants : t -> table -> unit
-(** White-box structural invariants (chain order, VID integrity,
-    entrypoint correctness, index reachability); raises [Failure] with a
-    description on violation. Used by the property-test suite. *)

@@ -1,13 +1,11 @@
+(* SIAS-V: a data item's recent versions co-located in one heap item, a
+   version vector, with older versions spilled into a chain of overflow
+   vectors. *)
+
+open Sias_core
 module Tid = Sias_storage.Tid
 module Heapfile = Sias_storage.Heapfile
-module Bufpool = Sias_storage.Bufpool
-module Btree = Sias_index.Btree
 module Txn = Sias_txn.Txn
-module Lockmgr = Sias_txn.Lockmgr
-module Contention = Sias_txn.Contention
-module Wal = Sias_wal.Wal
-
-let name = "SIAS-V"
 
 let vector_capacity = 4
 
@@ -70,11 +68,16 @@ let encode_vector vec =
     vec.versions;
   Buffer.to_bytes buf
 
-let decode_vector b =
-  let vec_vid = Int64.to_int (Bytes.get_int64_le b 0) in
-  let count = Bytes.get_uint16_le b 8 in
+let vector_vid b = Int64.to_int (Bytes.get_int64_le b 0)
+
+let vector_overflow b =
   let ov = Int64.to_int (Bytes.get_int64_le b 10) in
-  let overflow = if ov = 0 then Tid.invalid else Tid.of_int (ov - 1) in
+  if ov = 0 then Tid.invalid else Tid.of_int (ov - 1)
+
+let decode_vector b =
+  let vec_vid = vector_vid b in
+  let count = Bytes.get_uint16_le b 8 in
+  let overflow = vector_overflow b in
   let pos = ref 18 in
   (* explicit loop: decoding must advance [pos] strictly in record order *)
   let decode_one () =
@@ -112,750 +115,263 @@ let patch_overflow item tid =
   Bytes.set_int64_le item 10
     (Int64.of_int (if Tid.is_invalid tid then 0 else Tid.to_int tid + 1))
 
-(* ---------------- engine ---------------- *)
 
-type table = {
-  tname : string;
-  rel : int;
-  mutable heap : Heapfile.t;
-  pk_col : int;
-  mutable vidmap : Vidmap.t;
-  mutable pk_index : Index.t;
-  mutable secondary : (int * Index.t) array;
-}
+module V = struct
+  let name = "SIAS-V"
 
-type undo = { u_table : table; u_vid : int; u_old : Tid.t option; u_pk : int option }
+  type nonrec version = version
 
-type gc_stats = {
-  collected_vectors : int;
-  compacted_vectors : int;
-  reclaimed_pages : int;
-}
+  let create v = v.v_create
+  let seq v = v.v_seq
+  let tombstone v = v.v_tombstone
+  let row v = v.v_row
+  let item_vid = vector_vid
+  let link = vector_overflow
+  let patch_link = patch_overflow
 
-type t = {
-  db : Db.t;
-  mutable tables : table list;
-  undo : (int, undo list ref) Hashtbl.t;
-  cmd_seq : (int, int ref) Hashtbl.t;
-  mutable collected : int;
-  mutable compacted : int;
-  mutable reclaimed : int;
-  mutable reads : int;
-  mutable fetches : int;
-  track : bool;
-      (* serializability tracking on (isolation <> `Si); cached so the
-         vector walk pays one local branch and SI stays byte-identical *)
-}
+  (* Every vector fetch on the transaction path costs one simulated CPU
+     unit, wherever it happens. *)
+  let fetch_vector t table tid =
+    Db.charge_cpu t.db 1;
+    match Heapfile.read table.heap tid with
+    | None -> None
+    | Some item -> Some (decode_vector item)
 
-let create db =
-  Walcodec.install_repair db;
-  {
-    db;
-    tables = [];
-    undo = Hashtbl.create 64;
-    cmd_seq = Hashtbl.create 64;
-    collected = 0;
-    compacted = 0;
-    reclaimed = 0;
-    reads = 0;
-    fetches = 0;
-    track = Db.ssi_tracking db;
-  }
+  let append_vector t table ~xid vec = append_item t table ~xid (encode_vector vec)
 
-let db t = t.db
-
-let create_table t ~name:tname ~pk_col ?(secondary = []) () =
-  let rel = Db.alloc_rel t.db in
-  let heap =
-    Heapfile.create ?seal_interval:t.db.Db.append_seal_interval t.db.Db.pool ~rel
-      ~placement:Heapfile.Append_only
-  in
-  let pk_index = Index.create t.db in
-  let secondary =
-    Array.map (fun col -> (col, Index.create t.db)) (Array.of_list secondary)
-  in
-  let vidmap =
-    if t.db.Db.vidmap_paged then Vidmap.create ~backing:(t.db.Db.pool, Db.alloc_rel t.db) ()
-    else Vidmap.create ()
-  in
-  let table = { tname; rel; heap; pk_col; vidmap; pk_index; secondary } in
-  t.tables <- t.tables @ [ table ];
-  table
-
-let begin_txn t = Db.begin_txn t.db
-
-let next_seq t xid =
-  let cell =
-    match Hashtbl.find_opt t.cmd_seq xid with
-    | Some c -> c
-    | None ->
-        let c = ref 0 in
-        Hashtbl.replace t.cmd_seq xid c;
-        c
-  in
-  incr cell;
-  !cell
-
-let push_undo t xid u =
-  let cell =
-    match Hashtbl.find_opt t.undo xid with
-    | Some c -> c
-    | None ->
-        let c = ref [] in
-        Hashtbl.replace t.undo xid c;
-        c
-  in
-  cell := u :: !cell
-
-let forget_txn t xid =
-  Hashtbl.remove t.undo xid;
-  Hashtbl.remove t.cmd_seq xid
-
-let commit t txn =
-  forget_txn t txn.Txn.xid;
-  try
-    Db.commit t.db txn;
-    Ok ()
-  with Db.Serialization_failure _ -> Error Engine.Serialization_failure
-
-let abort t txn =
-  (match Hashtbl.find_opt t.undo txn.Txn.xid with
-  | None -> ()
-  | Some cell ->
-      List.iter
-        (fun u ->
-          (match u.u_old with
-          | Some tid -> Vidmap.set u.u_table.vidmap ~vid:u.u_vid tid
-          | None -> Vidmap.clear u.u_table.vidmap ~vid:u.u_vid);
-          match (u.u_old, u.u_pk) with
-          | None, Some pk -> ignore (Index.delete u.u_table.pk_index ~key:pk ~payload:u.u_vid)
-          | _ -> ())
-        !cell);
-  forget_txn t txn.Txn.xid;
-  Db.abort t.db txn
-
-let pk_of table row = Value.to_key row.(table.pk_col)
-
-let fetch_vector t table tid =
-  t.fetches <- t.fetches + 1;
-  Db.charge_cpu t.db 1;
-  match Heapfile.read table.heap tid with
-  | None -> None
-  | Some item -> Some (decode_vector item)
-
-let append_vector t table ~xid vec =
-  let item = encode_vector vec in
-  let tid = Heapfile.insert table.heap item in
-  Walcodec.log_heap ~append_only:true t.db ~xid ~rel:table.rel ~kind:Wal.Insert ~tid ~item;
-  tid
-
-(* First version visible to the snapshot, scanning newest-first through
-   the vector and its overflow chain. *)
-let find_visible t txn table vid =
-  match Vidmap.get table.vidmap ~vid with
-  | None -> None
-  | Some entry ->
-      t.reads <- t.reads + 1;
-      let rec scan tid =
-        if Tid.is_invalid tid then None
-        else
-          match fetch_vector t table tid with
-          | None -> None
-          | Some vec ->
-              let n = Array.length vec.versions in
-              let rec find i =
-                if i >= n then scan vec.overflow
-                else
-                  let v = Array.unsafe_get vec.versions i in
-                  if
-                    Visibility.creator_visible_fast t.db ~heap:table.heap ~tid
-                      ~off:v.v_flags_off ~shift:hint_shift txn.Txn.snapshot
-                      ~hint:v.v_hint ~xid:v.v_create
-                  then if v.v_tombstone then None else Some v
-                  else begin
-                    (* a skipped vector entry names an overlapping writer
-                       of this data item in the co-located lineage — under
-                       serializable mode that is an rw antidependency,
-                       no lock-table probe needed *)
-                    if t.track then
-                      Db.note_lineage_writer t.db ~reader:txn.Txn.xid
-                        ~writer:v.v_create;
-                    find (i + 1)
-                  end
-              in
-              find 0
-      in
-      scan entry
-
-(* Newest non-aborted version across the vector chain. *)
-let effective_head t table vid =
-  match Vidmap.get table.vidmap ~vid with
-  | None -> None
-  | Some entry ->
-      let mgr = t.db.Db.txnmgr in
-      let rec scan tid =
-        if Tid.is_invalid tid then None
-        else
-          match fetch_vector t table tid with
-          | None -> None
-          | Some vec -> (
-              match
-                find_version
-                  (fun v -> Txn.status mgr v.v_create <> Txn.Aborted)
-                  vec.versions
-              with
-              | Some v -> Some v
-              | None -> scan vec.overflow)
-      in
-      scan entry
-
-let find_item t txn table pk =
-  let vids = Index.lookup table.pk_index ~key:pk in
-  Db.charge_cpu t.db (List.length vids);
-  List.find_map
-    (fun vid ->
-      match find_visible t txn table vid with
-      | Some v when pk_of table v.v_row = pk -> Some (vid, v)
-      | _ -> None)
-    vids
-
-let insert_conflict t txn table pk =
-  if find_item t txn table pk <> None then Some Engine.Duplicate_key
-  else begin
-    let mgr = t.db.Db.txnmgr in
-    let vids = Index.lookup table.pk_index ~key:pk in
-    let conflict vid =
-      match effective_head t table vid with
-      | None -> false
-      | Some v ->
-          pk_of table v.v_row = pk
-          && v.v_create <> txn.Txn.xid
-          && (match Txn.status mgr v.v_create with
-             | Txn.In_progress -> true
-             | Txn.Committed -> not v.v_tombstone
-             | Txn.Aborted -> false)
-    in
-    if List.exists conflict vids then Some Engine.Write_conflict else None
-  end
-
-let insert t txn table row =
-  let pk = pk_of table row in
-  match insert_conflict t txn table pk with
-  | Some e -> Error e
-  | None ->
-      let xid = txn.Txn.xid in
-      let vid = Vidmap.alloc_vid table.vidmap in
-      let v =
-        {
-          v_create = xid;
-          v_seq = next_seq t xid;
-          v_tombstone = false;
-          v_hint = Tuple.Hint.none;
-          v_flags_off = -1;
-          v_row = row;
-        }
-      in
-      let tid =
-        append_vector t table ~xid
-          { vec_vid = vid; overflow = Tid.invalid; versions = [| v |] }
-      in
-      Vidmap.set table.vidmap ~vid tid;
-      push_undo t xid { u_table = table; u_vid = vid; u_old = None; u_pk = Some pk };
-      Index.insert table.pk_index ~key:pk ~payload:vid;
-      Array.iter
-        (fun (col, index) -> Index.insert index ~key:(Value.to_key row.(col)) ~payload:vid)
-        table.secondary;
-      (* index maintenance happens once per data item, not per version *)
-      Db.charge_cpu t.db (2 + Array.length table.secondary);
-      if t.track then Db.note_write t.db ~xid ~rel:table.rel ~pk;
-      if Db.observed t.db then
-        Db.emit t.db (Db.Event.Row_write { xid; rel = table.rel; pk; row = Some row });
-      Ok ()
-
-let write_version t txn table ~pk ~make_row ~tombstone =
-  match find_item t txn table pk with
-  | None -> Error Engine.Not_found
-  | Some (vid, visible_v) -> (
-      let xid = txn.Txn.xid in
-      match effective_head t table vid with
-      | None -> Error Engine.Not_found
-      | Some head ->
-          let head_in_progress =
-            head.v_create <> xid && Txn.status t.db.Db.txnmgr head.v_create = Txn.In_progress
-          in
-          let head_is_visible =
-            head.v_create = visible_v.v_create && head.v_seq = visible_v.v_seq
-          in
-          (* the in-progress writer of the vector head holds the vid
-             writer lock, so the conflict policy decides this case *)
-          let blocked =
-            head_in_progress
-            && Contention.acquire t.db.Db.contention ~xid ~rel:table.rel ~key:vid
-               = Contention.Abort_self
-          in
-          if blocked || not head_is_visible then Error Engine.Write_conflict
-          else (
-            match Contention.acquire t.db.Db.contention ~xid ~rel:table.rel ~key:vid with
-            | Contention.Abort_self -> Error Engine.Write_conflict
-            | Contention.Granted -> (
-                match Vidmap.get table.vidmap ~vid with
-                | None -> Error Engine.Not_found
-                | Some cur_tid -> (
-                    match fetch_vector t table cur_tid with
-                    | None -> Error Engine.Not_found
-                    | Some cur ->
-                        let old_row = visible_v.v_row in
-                        let row =
-                          match make_row old_row with Some r -> r | None -> old_row
-                        in
-                        if (not tombstone) && pk_of table row <> pk then
-                          invalid_arg "Sias_vector.update: primary key must not change";
-                        let v =
-                          {
-                            v_create = xid;
-                            v_seq = next_seq t xid;
-                            v_tombstone = tombstone;
-                            v_hint = Tuple.Hint.none;
-                            v_flags_off = -1;
-                            v_row = row;
-                          }
-                        in
-                        let fresh =
-                          (* O(1) occupancy probe (was List.length) *)
-                          if Array.length cur.versions >= vector_capacity then begin
-                            (* spill the full vector, start a new one *)
-                            let spilled = append_vector t table ~xid cur in
-                            { vec_vid = vid; overflow = spilled; versions = [| v |] }
-                          end
-                          else
-                            { cur with versions = Array.append [| v |] cur.versions }
-                        in
-                        let tid = append_vector t table ~xid fresh in
-                        push_undo t xid
-                          { u_table = table; u_vid = vid; u_old = Some cur_tid; u_pk = None };
-                        Vidmap.set table.vidmap ~vid tid;
-                        if not tombstone then
-                          Array.iter
-                            (fun (col, index) ->
-                              let old_key = Value.to_key old_row.(col) in
-                              let new_key = Value.to_key row.(col) in
-                              if old_key <> new_key then
-                                Index.insert index ~key:new_key ~payload:vid)
-                            table.secondary;
-                        Db.charge_cpu t.db 1;
-                        if t.track then Db.note_write t.db ~xid ~rel:table.rel ~pk;
-                        if Db.observed t.db then
-                          Db.emit t.db
-                            (Db.Event.Row_write
-                               {
-                                 xid;
-                                 rel = table.rel;
-                                 pk;
-                                 row = (if tombstone then None else Some row);
-                               });
-                        Ok ()))))
-
-let update t txn table ~pk f =
-  write_version t txn table ~pk ~make_row:(fun row -> Some (f row)) ~tombstone:false
-
-let delete t txn table ~pk =
-  write_version t txn table ~pk ~make_row:(fun _ -> None) ~tombstone:true
-
-let read t txn table ~pk =
-  let row =
-    match find_item t txn table pk with Some (_, v) -> Some v.v_row | None -> None
-  in
-  (* overlapping writers were already reported by the lineage walk *)
-  if t.track then
-    Db.note_read t.db ~xid:txn.Txn.xid ~rel:table.rel ~pk ~probe_writes:false;
-  if Db.observed t.db then
-    Db.emit t.db (Db.Event.Row_read { xid = txn.Txn.xid; rel = table.rel; pk; row });
-  row
-
-(* Linear probe over the (small, fixed) secondary-index array; replaces
-   the old [List.assoc_opt] without allocating. *)
-let find_index_on table col =
-  let n = Array.length table.secondary in
-  let rec go i =
-    if i >= n then None
-    else
-      let c, idx = table.secondary.(i) in
-      if c = col then Some idx else go (i + 1)
-  in
-  go 0
-
-let lookup t txn table ~col ~key =
-  match find_index_on table col with
-  | None -> invalid_arg "Sias_vector.lookup: no index on column"
-  | Some index ->
-      let vids = Index.lookup index ~key in
-      Db.charge_cpu t.db (List.length vids);
-      List.filter_map
-        (fun vid ->
-          match find_visible t txn table vid with
-          | Some v when Value.to_key v.v_row.(col) = key ->
-              if t.track then
-                Db.note_read t.db ~xid:txn.Txn.xid ~rel:table.rel
-                  ~pk:(pk_of table v.v_row) ~probe_writes:false;
-              Some v.v_row
-          | _ -> None)
-        vids
-
-let range_pk t txn table ~lo ~hi =
-  let entries = Index.range table.pk_index ~lo ~hi in
-  Db.charge_cpu t.db (List.length entries);
-  List.filter_map
-    (fun (key, vid) ->
-      match find_visible t txn table vid with
-      | Some v when pk_of table v.v_row = key ->
-          if t.track then
-            Db.note_read t.db ~xid:txn.Txn.xid ~rel:table.rel ~pk:key
-              ~probe_writes:false;
-          Some v.v_row
-      | _ -> None)
-    entries
-
-let scan t txn table f =
-  (* Predicate SIREAD only — the per-vid vector walks below surface every
-     overlapping writer (even a phantom insert allocates its vid before
-     commit, so its invisible version is walked and harvested). *)
-  if t.track then
-    Db.note_scan t.db ~xid:txn.Txn.xid ~rel:table.rel ~probe_writes:false;
-  let count = ref 0 in
-  for vid = 0 to Vidmap.vid_count table.vidmap - 1 do
-    match find_visible t txn table vid with
-    | Some v ->
-        incr count;
-        f v.v_row
-    | None -> ()
-  done;
-  !count
-
-(* ---------------- garbage collection ---------------- *)
-
-(* Mark-and-sweep, mirroring the chains engine. A heap item (a vector
-   copy) is live iff it is reachable from its item's VID_map entry through
-   the overflow chain, or referenced by an active writer's undo record.
-   Compaction first rewrites chains that contain versions no snapshot can
-   need (the superseded copies become unreachable garbage); the sweep then
-   cleans unsealed pages by cheap dead-slot marking and reclaims sparse
-   sealed pages wholesale: relocate the reachable copies, TRIM the page. *)
-
-let locked t table vid = Lockmgr.holder t.db.Db.lockmgr ~rel:table.rel ~key:vid <> None
-
-(* GC reads go through the vacuum ring: no stats pollution, no working-set
-   eviction, I/O still charged. *)
-let fetch_vector_ro table tid =
-  match Heapfile.read_ro table.heap tid with
-  | None -> None
-  | Some item -> Some (decode_vector item)
-
-let mark_live t table =
-  let live = Hashtbl.create 1024 in
-  let mark_chain entry =
-    let rec walk tid =
-      if not (Tid.is_invalid tid) && not (Hashtbl.mem live (Tid.to_int tid)) then
-        match fetch_vector_ro table tid with
-        | None -> ()
+  (* First version visible to the snapshot, scanning newest-first through
+     the vector and its overflow chain. *)
+  let visible t txn table ~vid:_ entry =
+    let rec scan tid =
+      if Tid.is_invalid tid then None
+      else
+        match fetch_vector t table tid with
+        | None -> None
         | Some vec ->
-            Hashtbl.replace live (Tid.to_int tid) vec.vec_vid;
+            t.visited <- t.visited + 1;
+            let n = Array.length vec.versions in
+            let rec find i =
+              if i >= n then scan vec.overflow
+              else
+                let v = Array.unsafe_get vec.versions i in
+                if
+                  Visibility.creator_visible_fast t.db ~heap:table.heap ~tid
+                    ~off:v.v_flags_off ~shift:hint_shift txn.Txn.snapshot ~hint:v.v_hint
+                    ~xid:v.v_create
+                then if v.v_tombstone then None else Some v
+                else begin
+                  (* a skipped vector entry names an overlapping writer
+                     of this data item in the co-located lineage — under
+                     serializable mode that is an rw antidependency,
+                     no lock-table probe needed *)
+                  if t.track then
+                    Db.note_lineage_writer t.db ~reader:txn.Txn.xid ~writer:v.v_create;
+                  find (i + 1)
+                end
+            in
+            find 0
+    in
+    scan entry
+
+  let head t table ~vid:_ entry =
+    let mgr = t.db.Db.txnmgr in
+    let rec scan tid =
+      if Tid.is_invalid tid then None
+      else
+        match fetch_vector t table tid with
+        | None -> None
+        | Some vec -> (
+            match
+              find_version (fun v -> Txn.status mgr v.v_create <> Txn.Aborted) vec.versions
+            with
+            | Some v -> Some v
+            | None -> scan vec.overflow)
+    in
+    scan entry
+
+  let head_row _t _table v = Some v.v_row
+
+  let fresh_version ~xid ~seq ~tombstone row =
+    {
+      v_create = xid;
+      v_seq = seq;
+      v_tombstone = tombstone;
+      v_hint = Tuple.Hint.none;
+      v_flags_off = -1;
+      v_row = row;
+    }
+
+  let append_new t table ~xid ~seq ~vid row =
+    append_vector t table ~xid
+      {
+        vec_vid = vid;
+        overflow = Tid.invalid;
+        versions = [| fresh_version ~xid ~seq ~tombstone:false row |];
+      }
+
+  (* Re-append the current vector with the new version prepended; a full
+     vector spills whole into an overflow vector and a fresh one starts. *)
+  let append_successor t table ~xid ~seq ~vid ~prev ~tombstone row =
+    match fetch_vector t table prev with
+    | None -> None
+    | Some cur ->
+        let v = fresh_version ~xid ~seq ~tombstone row in
+        let fresh =
+          if Array.length cur.versions >= vector_capacity then begin
+            let spilled = append_vector t table ~xid cur in
+            { vec_vid = vid; overflow = spilled; versions = [| v |] }
+          end
+          else { cur with versions = Array.append [| v |] cur.versions }
+        in
+        Some (append_vector t table ~xid fresh)
+
+  (* GC reads go through the vacuum ring: no stats pollution, no
+     working-set eviction, I/O still charged. *)
+  let fetch_vector_ro table tid =
+    match Heapfile.read_ro table.heap tid with
+    | None -> None
+    | Some item -> Some (decode_vector item)
+
+  (* Compaction: rewrite items whose vectors hold versions no snapshot can
+     need. A version is dead when a younger committed version is below
+     the horizon, or its creator aborted; a committed tombstone below the
+     horizon kills the whole item. The superseded copies become
+     unreachable garbage for the sweep. *)
+  let compact t table =
+    let mgr = t.db.Db.txnmgr in
+    let horizon = Txn.horizon mgr in
+    for vid = 0 to Vidmap.vid_count table.vidmap - 1 do
+      match if locked t table vid then None else Vidmap.get table.vidmap ~vid with
+      | None -> ()
+      | Some entry ->
+          (* gather all versions across the overflow chain *)
+          let rec gather tid acc =
+            if Tid.is_invalid tid then List.rev acc
+            else
+              match fetch_vector_ro table tid with
+              | None -> List.rev acc
+              | Some vec -> gather vec.overflow (List.rev_append (Array.to_list vec.versions) acc)
+          in
+          let versions = gather entry [] in
+          let rec live acc succ_committed = function
+            | [] -> List.rev acc
+            | v :: rest ->
+                let dead =
+                  Visibility.sias_dead_for_all mgr ~horizon ~create:v.v_create
+                    ~successor_create:succ_committed
+                  || (v.v_tombstone && v.v_create < horizon
+                     && Txn.status mgr v.v_create = Txn.Committed)
+                in
+                if dead then List.rev acc (* everything older is dead too *)
+                else begin
+                  let succ_committed =
+                    if Txn.status mgr v.v_create = Txn.Committed then Some v.v_create
+                    else succ_committed
+                  in
+                  live (v :: acc) succ_committed rest
+                end
+          in
+          let live_versions = live [] None versions in
+          if List.length live_versions < List.length versions then begin
+            t.compacted <- t.compacted + 1;
+            if live_versions = [] then begin
+              match versions with v :: _ -> retire table ~vid v.v_row | [] -> ()
+            end
+            else begin
+              let fresh =
+                { vec_vid = vid; overflow = Tid.invalid; versions = Array.of_list live_versions }
+              in
+              let tid = append_vector t table ~xid:0 fresh in
+              Vidmap.set table.vidmap ~vid tid
+            end
+          end
+    done
+
+  (* A vector copy is live iff it is reachable from its item's VID_map
+     entry through the overflow chain, or from an active writer's undo
+     record (the copy an abort restores the VID_map to). *)
+  let mark t table =
+    compact t table;
+    let live = Hashtbl.create 1024 in
+    let mark_chain entry =
+      let rec walk tid =
+        if (not (Tid.is_invalid tid)) && not (Hashtbl.mem live (Tid.to_int tid)) then
+          match Heapfile.read_ro table.heap tid with
+          | None -> ()
+          | Some item ->
+              Hashtbl.replace live (Tid.to_int tid) (vector_vid item);
+              walk (vector_overflow item)
+      in
+      walk entry
+    in
+    for vid = 0 to Vidmap.vid_count table.vidmap - 1 do
+      match Vidmap.get table.vidmap ~vid with Some entry -> mark_chain entry | None -> ()
+    done;
+    Hashtbl.iter
+      (fun _xid cell ->
+        List.iter
+          (fun u ->
+            if u.u_table == table then
+              match u.u_old with Some tid -> mark_chain tid | None -> ())
+          !cell)
+      t.undo;
+    live
+
+  let iter_versions _t table ~vid:_ entry f =
+    let rec walk tid =
+      if not (Tid.is_invalid tid) then
+        match Heapfile.read_ro table.heap tid with
+        | None -> ()
+        | Some item ->
+            let vec = decode_vector item in
+            Array.iter (f vec.vec_vid) vec.versions;
             walk vec.overflow
     in
     walk entry
-  in
-  for vid = 0 to Vidmap.vid_count table.vidmap - 1 do
-    match Vidmap.get table.vidmap ~vid with
-    | Some entry -> mark_chain entry
-    | None -> ()
-  done;
-  (* copies an aborting writer may restore the VID_map to *)
-  Hashtbl.iter
-    (fun _xid cell ->
-      List.iter
-        (fun u ->
-          if u.u_table == table then
-            match u.u_old with Some tid -> mark_chain tid | None -> ())
-        !cell)
-    t.undo;
-  live
 
-(* Drop versions no snapshot can need. A version is dead when a younger
-   committed version is below the horizon, or its creator aborted; a
-   committed tombstone below the horizon kills the whole item. *)
-let compact_chains t table =
-  let mgr = t.db.Db.txnmgr in
-  let horizon = Txn.horizon mgr in
-  for vid = 0 to Vidmap.vid_count table.vidmap - 1 do
-    match (if locked t table vid then None else Vidmap.get table.vidmap ~vid) with
-    | None -> ()
-    | Some entry ->
-        (* gather all versions across the overflow chain *)
-        let rec gather tid acc =
-          if Tid.is_invalid tid then List.rev acc
-          else
-            match fetch_vector_ro table tid with
-            | None -> List.rev acc
-            | Some vec ->
-                gather vec.overflow (List.rev_append (Array.to_list vec.versions) acc)
-        in
-        let versions = gather entry [] in
-        let rec live acc succ_committed = function
-          | [] -> List.rev acc
-          | v :: rest ->
-              let dead =
-                Visibility.sias_dead_for_all mgr ~horizon ~create:v.v_create
-                  ~successor_create:succ_committed
-                || (v.v_tombstone && v.v_create < horizon
-                   && Txn.status mgr v.v_create = Txn.Committed)
-              in
-              if dead then List.rev acc (* everything older is dead too *)
-              else begin
-                let succ_committed =
-                  if Txn.status mgr v.v_create = Txn.Committed then Some v.v_create
-                  else succ_committed
-                in
-                live (v :: acc) succ_committed rest
-              end
-        in
-        let live_versions = live [] None versions in
-        if List.length live_versions < List.length versions then begin
-          t.compacted <- t.compacted + 1;
-          if live_versions = [] then begin
-            Vidmap.clear table.vidmap ~vid;
-            match versions with
-            | v :: _ ->
-                ignore (Index.delete table.pk_index ~key:(pk_of table v.v_row) ~payload:vid)
-            | [] -> ()
-          end
-          else begin
-            let fresh =
-              {
-                vec_vid = vid;
-                overflow = Tid.invalid;
-                versions = Array.of_list live_versions;
-              }
-            in
-            let tid = append_vector t table ~xid:0 fresh in
-            Vidmap.set table.vidmap ~vid tid
-          end
-          (* superseded copies are now unreachable; the sweep removes them *)
-        end
-  done
+  (* The authoritative copy of an item is the one holding its newest
+     committed version; among copies that agree, the fuller one, then the
+     later-appended one. *)
+  type rank = (int * int) * int * int
 
-let relocate_vector t table live old_tid =
-  (* re-fetch: an earlier relocation may have repointed this vector's
-     overflow pointer in place after the sweep captured the page *)
-  match Heapfile.read_ro table.heap old_tid with
-  | None -> ()
-  | Some item ->
-  let vec = decode_vector item in
-  let new_tid = Heapfile.insert table.heap item in
-  Walcodec.log_heap ~append_only:true t.db ~xid:0 ~rel:table.rel ~kind:Wal.Insert ~tid:new_tid ~item;
-  Hashtbl.remove live (Tid.to_int old_tid);
-  Hashtbl.replace live (Tid.to_int new_tid) vec.vec_vid;
-  match Vidmap.get table.vidmap ~vid:vec.vec_vid with
-  | Some entry when Tid.equal entry old_tid ->
-      Vidmap.set table.vidmap ~vid:vec.vec_vid new_tid
-  | Some entry ->
-      (* repoint the referring vector's overflow pointer *)
-      let rec repair tid =
-        if not (Tid.is_invalid tid) then
-          match Heapfile.read_ro table.heap tid with
-          | None -> ()
-          | Some ref_item ->
-              let ref_vec = decode_vector ref_item in
-              if Tid.equal ref_vec.overflow old_tid then begin
-                patch_overflow ref_item new_tid;
-                if not (Heapfile.update_in_place table.heap tid ref_item) then
-                  failwith "Sias_vector.reclaim: overflow patch failed";
-                Walcodec.log_heap t.db ~xid:0 ~rel:table.rel ~kind:Wal.Update ~tid
-                  ~item:ref_item
-              end
-              else repair ref_vec.overflow
-      in
-      repair entry
-  | None -> ()
+  let recovery_rank t tid item =
+    let mgr = t.db.Db.txnmgr in
+    let vec = decode_vector item in
+    let best = ref None in
+    Array.iter
+      (fun v ->
+        if Txn.status mgr v.v_create = Txn.Committed then
+          match !best with
+          | Some (c, s) when c > v.v_create || (c = v.v_create && s >= v.v_seq) -> ()
+          | _ -> best := Some (v.v_create, v.v_seq))
+      vec.versions;
+    Option.map (fun newest -> (newest, Array.length vec.versions, Tid.to_int tid)) !best
 
-let sweep t table live ~fill_threshold =
-  let nblocks = Heapfile.nblocks table.heap in
-  let tail = match Heapfile.last_block table.heap with Some b -> b | None -> -1 in
-  let page_size = Bufpool.page_size t.db.Db.pool in
-  for block = 0 to nblocks - 1 do
-    if not (Heapfile.discarded table.heap block) then begin
-      let slots = ref [] in
-      Bufpool.with_page_ro t.db.Db.pool ~rel:table.rel ~block (fun page ->
-          Sias_storage.Page.iter page (fun slot item ->
-              slots := (Tid.make ~block ~slot, item) :: !slots));
-      let live_slots, dead_slots =
-        List.partition (fun (tid, _) -> Hashtbl.mem live (Tid.to_int tid)) !slots
-      in
-      if !slots <> [] then
-        if not (Heapfile.sealed table.heap block) then
-          List.iter
-            (fun (tid, _) ->
-              Heapfile.delete table.heap tid;
-              Walcodec.log_heap t.db ~xid:0 ~rel:table.rel ~kind:Wal.Delete ~tid
-                ~item:Bytes.empty;
-              t.collected <- t.collected + 1)
-            dead_slots
-        else begin
-          let live_bytes =
-            List.fold_left (fun acc (_, item) -> acc + Bytes.length item) 0 live_slots
+  let recovered_row t item =
+    let mgr = t.db.Db.txnmgr in
+    match
+      find_version (fun v -> Txn.status mgr v.v_create = Txn.Committed) (decode_vector item).versions
+    with
+    | Some v when not v.v_tombstone -> Some v.v_row
+    | _ -> None
+
+  let total_versions t table =
+    let total = ref 0 in
+    for vid = 0 to Vidmap.vid_count table.vidmap - 1 do
+      match Vidmap.get table.vidmap ~vid with
+      | None -> ()
+      | Some entry ->
+          let rec count tid =
+            if not (Tid.is_invalid tid) then
+              match fetch_vector t table tid with
+              | None -> ()
+              | Some vec ->
+                  total := !total + Array.length vec.versions;
+                  count vec.overflow
           in
-          let movable =
-            List.for_all
-              (fun (_, item) -> not (locked t table (decode_vector item).vec_vid))
-              live_slots
-          in
-          if movable && block <> tail
-             && float_of_int live_bytes /. float_of_int page_size < fill_threshold
-          then begin
-            List.iter (fun (tid, _) -> relocate_vector t table live tid) live_slots;
-            t.collected <- t.collected + List.length dead_slots;
-            Heapfile.discard_block table.heap block;
-            Walcodec.log_heap t.db ~xid:0 ~rel:table.rel ~kind:Wal.Trim
-              ~tid:(Tid.make ~block ~slot:0) ~item:Bytes.empty;
-            t.reclaimed <- t.reclaimed + 1
-          end
-        end
-    end
-  done
+          count entry
+    done;
+    !total
+end
 
-let gc t =
-  List.iter
-    (fun table ->
-      compact_chains t table;
-      let live = mark_live t table in
-      sweep t table live ~fill_threshold:0.55)
-    t.tables
-
-(* ---------------- recovery ---------------- *)
-
-let discover_nblocks pool ~rel =
-  let b = ref 0 in
-  while Bufpool.on_disk pool ~rel ~block:!b || Bufpool.resident pool ~rel ~block:!b do
-    incr b
-  done;
-  !b
-
-(* The newest committed version a vector copy holds, for choosing the
-   authoritative copy of each item at recovery. *)
-let copy_rank mgr vec =
-  let best = ref None in
-  Array.iter
-    (fun v ->
-      if Txn.status mgr v.v_create = Txn.Committed then
-        match !best with
-        | Some (c, s) when c > v.v_create || (c = v.v_create && s >= v.v_seq) -> ()
-        | _ -> best := Some (v.v_create, v.v_seq))
-    vec.versions;
-  !best
-
-let recover t =
-  Walcodec.replay_clog t.db;
-  Walcodec.redo t.db ~since_lsn:0;
-  List.iter
-    (fun table ->
-      Sias_chaos.Crashpoint.reach "recover.heap.restore";
-      let nblocks = discover_nblocks t.db.Db.pool ~rel:table.rel in
-      table.heap <-
-        Heapfile.restore t.db.Db.pool ~rel:table.rel ~placement:Heapfile.Append_only ~nblocks;
-      table.vidmap <-
-        (if t.db.Db.vidmap_paged then
-           Vidmap.create ~backing:(t.db.Db.pool, Db.alloc_rel t.db) ()
-         else Vidmap.create ());
-      table.pk_index <- Index.recover t.db table.pk_index;
-      table.secondary <-
-        Array.map (fun (col, idx) -> (col, Index.recover t.db idx)) table.secondary;
-      (* paged indexes were replayed in place; only the array
-         implementation is rebuilt below (stale entries of crashed
-         transactions in a paged index are filtered by visibility) *)
-      let rebuild = Index.needs_rebuild table.pk_index in
-      let mgr = t.db.Db.txnmgr in
-      let best = Hashtbl.create 1024 in
-      let max_vid = ref (-1) in
-      Heapfile.iter table.heap (fun tid item ->
-          let vec = decode_vector item in
-          if vec.vec_vid > !max_vid then max_vid := vec.vec_vid;
-          match copy_rank mgr vec with
-          | None -> ()
-          | Some rank -> (
-              let count = Array.length vec.versions in
-              match Hashtbl.find_opt best vec.vec_vid with
-              | Some (r, c, old_tid, _)
-                when (r, c, Tid.to_int old_tid) >= (rank, count, Tid.to_int tid) ->
-                  ()
-              | _ -> Hashtbl.replace best vec.vec_vid (rank, count, tid, vec)));
-      for _ = 0 to !max_vid do
-        ignore (Vidmap.alloc_vid table.vidmap)
-      done;
-      Hashtbl.iter
-        (fun vid (_, _, tid, vec) ->
-          Vidmap.set table.vidmap ~vid tid;
-          (* index from the newest committed, non-tombstone version *)
-          match
-            find_version (fun v -> Txn.status mgr v.v_create = Txn.Committed) vec.versions
-          with
-          | Some v when rebuild && not v.v_tombstone ->
-              Index.insert table.pk_index ~key:(pk_of table v.v_row) ~payload:vid;
-              Array.iter
-                (fun (col, index) ->
-                  Index.insert index ~key:(Value.to_key v.v_row.(col)) ~payload:vid)
-                table.secondary
-          | _ -> ())
-        best)
-    t.tables
-
-let table_stats (t : t) table =
-  let total = ref 0 in
-  for vid = 0 to Vidmap.vid_count table.vidmap - 1 do
-    match Vidmap.get table.vidmap ~vid with
-    | None -> ()
-    | Some entry ->
-        let rec count tid =
-          if not (Tid.is_invalid tid) then
-            match fetch_vector t table tid with
-            | None -> ()
-            | Some vec ->
-                total := !total + Array.length vec.versions;
-                count vec.overflow
-        in
-        count entry
-  done;
-  let live = ref 0 in
-  let mgr = t.db.Db.txnmgr in
-  Vidmap.iter table.vidmap (fun _vid tid ->
-      match fetch_vector t table tid with
-      | Some vec -> (
-          match
-            find_version (fun v -> Txn.status mgr v.v_create <> Txn.Aborted) vec.versions
-          with
-          | Some v when not v.v_tombstone -> incr live
-          | _ -> ())
-      | None -> ());
-  {
-    Engine.heap_blocks = Heapfile.live_blocks table.heap;
-    live_versions = !live;
-    total_versions = !total;
-    avg_fill = Heapfile.avg_fill table.heap;
-  }
-
-let gc_stats t =
-  {
-    collected_vectors = t.collected;
-    compacted_vectors = t.compacted;
-    reclaimed_pages = t.reclaimed;
-  }
-
-let table_vidmap _t table = table.vidmap
-
-let fetches_per_read t =
-  if t.reads = 0 then 0.0 else float_of_int t.fetches /. float_of_int t.reads
-
-let index_summary t =
-  List.map
-    (fun table ->
-      ( table.tname,
-        Index.summary table.pk_index
-        :: Array.to_list (Array.map (fun (_, i) -> Index.summary i) table.secondary) ))
-    t.tables
+include Make (V)

@@ -16,23 +16,10 @@
     snapshots touch far fewer pages; writes carry the vector's re-append
     amplification. All writes remain appends — the invalidation-free
     paradigm, visibility rules, indexing by VID, tombstone deletes and
-    recovery-from-tuples are shared with SIAS-Chains. *)
+    recovery-from-tuples are shared with SIAS-Chains: both are
+    instantiations of {!Sias_core.Make}. *)
 
-include Engine.S
+include Sias_core.S
 
 val vector_capacity : int
 (** Versions held per vector before spilling (4 in this implementation). *)
-
-type gc_stats = {
-  collected_vectors : int;  (** garbage vector copies removed *)
-  compacted_vectors : int;  (** vectors rewritten without dead versions *)
-  reclaimed_pages : int;
-}
-
-val gc_stats : t -> gc_stats
-
-val table_vidmap : t -> table -> Vidmap.t
-
-val fetches_per_read : t -> float
-(** Mean number of vector fetches a visibility resolution needed — the
-    co-location payoff (compare with chain walk depth). *)

@@ -26,11 +26,13 @@ let () =
    must apply the same slot-allocation rule the original insert used, or
    replayed slots diverge. Full_page records reuse the same envelope with
    the raw page image as the item (slot part of the tid is unused). *)
+let envelope_bytes = 9
+
 let encode ?(append_only = false) tid item =
-  let b = Bytes.create (9 + Bytes.length item) in
+  let b = Bytes.create (envelope_bytes + Bytes.length item) in
   Bytes.set_int64_le b 0 (Int64.of_int (Tid.to_int tid));
   Bytes.set_uint8 b 8 (if append_only then 1 else 0);
-  Bytes.blit item 0 b 9 (Bytes.length item);
+  Bytes.blit item 0 b envelope_bytes (Bytes.length item);
   b
 
 let decode b =
@@ -112,8 +114,16 @@ let delta_blocks deltas =
    install exactly like any other record. A torn data-page write found at
    recovery is then repairable from the latest image plus the item
    records that follow it. Trim is exempt: replaying it recreates the
-   empty page with no image needed. *)
+   empty page with no image needed.
+
+   The caller has already changed the page, so any emergency WAL
+   reclamation must run before the full-page decision: it checkpoints the
+   changed page under its old LSN and resets [fpw_done], and the record
+   then becomes an image that holds the change. Reclaiming after the
+   decision would land an item record behind the checkpoint, and redo
+   would apply it to a page that already has it. *)
 let log_heap ?append_only db ~xid ~rel ~kind ~tid ~item =
+  Db.make_wal_room db ~payload_bytes:(envelope_bytes + Bytes.length item);
   let block = Tid.block tid in
   let fpw = kind <> Wal.Trim && not (Hashtbl.mem db.Db.fpw_done (rel, block)) in
   if fpw then begin

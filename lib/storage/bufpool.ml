@@ -792,6 +792,13 @@ let stats t =
 let on_disk t ~rel ~block =
   with_io t (fun () -> Hashtbl.mem t.disk { rel; block })
 
+let extent t ~rel =
+  let top = ref (-1) in
+  let see key = if key.rel = rel && key.block > !top then top := key.block in
+  with_io t (fun () -> Hashtbl.iter (fun key _ -> see key) t.disk);
+  with_all_shards t (fun () -> Array.iter (fun f -> if f.used then see f.key) t.frames);
+  !top + 1
+
 let dirty_keys t =
   with_all_shards t (fun () ->
       Array.to_list t.frames

@@ -138,8 +138,12 @@ type stats = {
 val stats : t -> stats
 
 val on_disk : t -> rel:int -> block:int -> bool
-(** Whether a flushed image of the page exists on the device (used by
-    recovery to rediscover relation sizes). *)
+(** Whether a flushed image of the page exists on the device. *)
+
+val extent : t -> rel:int -> int
+(** One past the highest block of [rel] that is on the device or
+    resident: the relation's size as recovery finds it. Blocks below it
+    may be neither (pages discarded by GC). *)
 
 val dirty_keys : t -> (int * int) list
 (** (rel, block) of every dirty resident frame; for tests/debugging. *)

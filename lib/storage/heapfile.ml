@@ -294,8 +294,9 @@ let avg_fill t =
 
 let last_block t = if t.nblocks = 0 then None else Some (t.nblocks - 1)
 
-let restore pool ~rel ~placement ~nblocks =
+let restore pool ~rel ~placement =
   let t = create pool ~rel ~placement in
+  let nblocks = Bufpool.extent pool ~rel in
   for _ = 1 to nblocks do
     ignore (grow t)
   done;

@@ -79,9 +79,11 @@ val avg_fill : t -> float
 val last_block : t -> int option
 (** The current append target, when the file is non-empty. *)
 
-val restore : Bufpool.t -> rel:int -> placement:placement -> nblocks:int -> t
-(** Recovery: rebuild the heap-file descriptor for an existing relation of
-    [nblocks] blocks, recomputing the free-space map from page contents. *)
+val restore : Bufpool.t -> rel:int -> placement:placement -> t
+(** Recovery: rebuild the heap-file descriptor for an existing relation
+    from the pages on the device or resident ({!Bufpool.extent} blocks),
+    recomputing the free-space map from page contents. A block below the
+    extent that is neither was discarded by GC. *)
 
 val sealed : t -> int -> bool
 (** [sealed t block]: an [Append_only] page already persisted to stable

@@ -169,6 +169,11 @@ let create ?device ?faults ?bus ?capacity_bytes ~clock () =
 let obs t =
   match t.bus with Some b when Bus.active b -> Some b | _ -> None
 
+let fits t ~payload_bytes =
+  match t.capacity_bytes with
+  | Some cap -> t.retained_bytes + record_header_bytes + payload_bytes <= cap
+  | None -> true
+
 let append t ~xid ~rel ~kind ~payload =
   Crashpoint.reach "wal.append.pre";
   let bytes = record_header_bytes + Bytes.length payload in
@@ -176,7 +181,7 @@ let append t ~xid ~rel ~kind ~payload =
      region every real log keeps so that the record which frees space can
      always be written, even when the log is nominally full. *)
   (match t.capacity_bytes with
-  | Some cap when kind <> Checkpoint && t.retained_bytes + bytes > cap ->
+  | Some cap when kind <> Checkpoint && not (fits t ~payload_bytes:(Bytes.length payload)) ->
       raise
         (Out_of_space { needed = bytes; capacity = cap; retained = t.retained_bytes })
   | _ -> ());

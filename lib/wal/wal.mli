@@ -202,6 +202,10 @@ val flush_count : t -> int
 val capacity_bytes : t -> int option
 (** The configured bound, if any. *)
 
+val fits : t -> payload_bytes:int -> bool
+(** Whether a non-checkpoint record with a payload of [payload_bytes]
+    would be accepted now without raising {!Out_of_space}. *)
+
 val retained_bytes : t -> int
 (** On-disk bytes of all currently retained records — what the capacity
     bound is charged against. Falls on {!truncate_before}. *)

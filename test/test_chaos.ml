@@ -217,6 +217,72 @@ let test_oos_hard_degraded () =
   checki "nothing committed" 0 o.Chaosrun.committed;
   check "restart serves the committed model" true o.Chaosrun.consistent
 
+(* ---- out of space: crash after every prefix of a bounded-WAL run ---- *)
+
+(* Emergency reclamation can fire inside an operation, after the page
+   changed but before its record is appended. Crash after each prefix of
+   a small insert/update workload: recovery must not diverge, and must
+   serve exactly the committed values. [None] when it does. *)
+let crash_prefix_run (module E : Mvcc.Engine.S) ~wal_capacity_bytes k =
+  let db = Db.create ~buffer_pages:128 ~wal_capacity_bytes () in
+  let eng = E.create db in
+  let table = E.create_table eng ~name:"t" ~pk_col:0 () in
+  let model = Hashtbl.create 64 in
+  let attempt key n op =
+    let txn = E.begin_txn eng in
+    match op txn with
+    | Ok () -> (
+        match E.commit eng txn with
+        | Ok () ->
+            Hashtbl.replace model key n;
+            true
+        | Error _ -> false)
+    | Error _ ->
+        E.abort eng txn;
+        false
+  in
+  (try
+     for n = 1 to k do
+       let key = 1 + (n mod 40) in
+       let row = [| Mvcc.Value.Int key; Mvcc.Value.Int n |] in
+       if not (attempt key n (fun txn -> E.insert eng txn table row)) then
+         ignore (attempt key n (fun txn -> E.update eng txn table ~pk:key (fun _ -> row)))
+     done
+   with Db.Read_only _ -> ());
+  Db.crash db;
+  match E.recover eng with
+  | exception e -> Some (Printexc.to_string e)
+  | () ->
+      let txn = E.begin_txn eng in
+      let wrong =
+        Hashtbl.fold
+          (fun key n acc ->
+            match E.read eng txn table ~pk:key with
+            | Some r when Mvcc.Value.int r.(1) = n -> acc
+            | _ -> key :: acc)
+          model []
+      in
+      let rows = E.scan eng txn table (fun _ -> ()) in
+      if wrong <> [] then
+        Some (Printf.sprintf "%d keys lost their committed value" (List.length wrong))
+      else if rows <> Hashtbl.length model then
+        Some (Printf.sprintf "%d rows for %d committed keys" rows (Hashtbl.length model))
+      else None
+
+let test_crash_prefixes engine ~wal_capacity_bytes () =
+  let _, m = Mvcc.Engine.resolve_exn engine in
+  let prefixes = 300 in
+  let failures =
+    List.filter_map
+      (fun k -> Option.map (fun msg -> (k, msg)) (crash_prefix_run m ~wal_capacity_bytes k))
+      (List.init prefixes succ)
+  in
+  match failures with
+  | [] -> ()
+  | (k, msg) :: _ ->
+      Alcotest.failf "%d/%d crash prefixes fail; first at k=%d: %s" (List.length failures)
+        prefixes k msg
+
 let suite =
   let modes =
     [
@@ -288,4 +354,12 @@ let suite =
         Alcotest.test_case "oos: capacity below one page image is refused"
           `Quick test_oos_hard_degraded;
       ];
+      List.map
+        (fun (e, wal_capacity_bytes) ->
+          Alcotest.test_case
+            (Printf.sprintf "oos: %s crash after every prefix recovers (%d B WAL)" e
+               wal_capacity_bytes)
+            `Quick
+            (test_crash_prefixes e ~wal_capacity_bytes))
+        (List.map (fun e -> (e, 20_000)) engines @ [ ("sias-v", 60_000) ]);
     ]

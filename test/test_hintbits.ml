@@ -285,12 +285,11 @@ let test_no_committed_hint_survives_crash () =
   ignore (Visibility.si_visible_fast db ~heap ~tid t2.Txn.snapshot h);
   (* data pages reach the device; the WAL buffer (and with it the commit
      record) is then lost in the crash *)
-  let nblocks = Heapfile.nblocks heap in
   Bufpool.flush_all db.Db.pool ~sync:true;
   Db.crash db;
   (* after the crash nothing remembers xid as committed; a durable
      committed hint would resurrect the lost transaction *)
-  let heap' = Heapfile.restore db.Db.pool ~rel ~placement:Heapfile.Free_space_first ~nblocks in
+  let heap' = Heapfile.restore db.Db.pool ~rel ~placement:Heapfile.Free_space_first in
   match Heapfile.read heap' tid with
   | None -> ()
   | Some item ->

@@ -51,12 +51,12 @@ let test_chain_walk_depth () =
   for i = 1 to 5 do
     commit_one eng (fun txn -> E.update eng txn table ~pk:1 (set_v i) |> Result.get_ok)
   done;
-  let w0, v0 = E.chain_walk_stats eng in
+  let w0, v0 = E.walk_stats eng in
   (* the old snapshot must walk the chain down to the initial version *)
   (match E.read eng old_reader table ~pk:1 with
   | Some r -> checki "old snapshot sees initial version" 0 (Value.int r.(1))
   | None -> Alcotest.fail "old version lost");
-  let w1, v1 = E.chain_walk_stats eng in
+  let w1, v1 = E.walk_stats eng in
   check "walk happened" true (w1 > w0);
   check "walked several versions deep" true (v1 - v0 >= 6);
   E.commit eng old_reader |> Result.get_ok
@@ -185,7 +185,7 @@ let test_gc_prunes_dead_tail () =
   let after = E.table_stats eng table in
   checki "only newest version survives" 1 after.Mvcc.Engine.total_versions;
   let gs = E.gc_stats eng in
-  checki "20 pruned" 20 gs.E.pruned_versions;
+  checki "20 pruned" 20 gs.Mvcc.Sias_core.pruned_items;
   commit_one eng (fun txn ->
       match E.read eng txn table ~pk:1 with
       | Some r -> checki "value intact" 20 (Value.int r.(1))
@@ -209,7 +209,7 @@ let test_gc_page_reclaim_relocates () =
   Bufpool.flush_all db.Db.pool ~sync:false;
   E.gc eng;
   let gs = E.gc_stats eng in
-  check "pages reclaimed" true (gs.E.reclaimed_pages > 0);
+  check "pages reclaimed" true (gs.Mvcc.Sias_core.reclaimed_pages > 0);
   (* all data still correct after relocation *)
   commit_one eng (fun txn ->
       let n = E.scan eng txn table (fun r -> checki "value" 3 (Value.int r.(1))) in
@@ -232,7 +232,7 @@ let test_scan_vidmap_equals_traditional () =
     let n = scan eng txn table (fun r -> acc := (Value.int r.(0), Value.int r.(1)) :: !acc) in
     (n, List.sort compare !acc)
   in
-  let n1, rows1 = collect E.scan_vidmap in
+  let n1, rows1 = collect E.scan in
   let n2, rows2 = collect E.scan_traditional in
   E.commit eng txn |> Result.get_ok;
   checki "same count" n1 n2;
@@ -281,21 +281,29 @@ let suite =
   ]
 
 (* Property: structural invariants hold after arbitrary committed op
-   sequences with interleaved GC, crashes and recovery. *)
-let qcheck_invariants =
-  QCheck.Test.make ~name:"SIAS invariants under random ops + gc + recovery" ~count:40
+   sequences with interleaved GC, crashes and recovery — on both version
+   organisations, through the shared checker. *)
+let qcheck_invariants label (module E : Mvcc.Sias_core.S) =
+  QCheck.Test.make ~name:(label ^ " invariants under random ops + gc + recovery") ~count:40
     QCheck.(
       list_of_size Gen.(int_range 5 120)
         (pair (int_range 1 25) (pair (int_bound 500) (int_bound 5))))
     (fun ops ->
-      let eng, table, db = fresh () in
+      let db = Db.create ~buffer_pages:512 () in
+      let eng = E.create db in
+      let table = E.create_table eng ~name:"t" ~pk_col:0 ~secondary:[ 1 ] () in
+      let commit_one f =
+        let txn = E.begin_txn eng in
+        f txn;
+        E.commit eng txn |> Result.get_ok
+      in
       List.iter
         (fun (k, (v, op)) ->
           (match op with
           | 0 | 1 ->
-              commit_one eng (fun txn -> ignore (E.insert eng txn table (row k v)))
-          | 2 | 3 -> commit_one eng (fun txn -> ignore (E.update eng txn table ~pk:k (set_v v)))
-          | 4 -> commit_one eng (fun txn -> ignore (E.delete eng txn table ~pk:k))
+              commit_one (fun txn -> ignore (E.insert eng txn table (row k v)))
+          | 2 | 3 -> commit_one (fun txn -> ignore (E.update eng txn table ~pk:k (set_v v)))
+          | 4 -> commit_one (fun txn -> ignore (E.delete eng txn table ~pk:k))
           | _ -> E.gc eng);
           E.check_invariants eng table)
         ops;
@@ -306,4 +314,10 @@ let qcheck_invariants =
       E.check_invariants eng table;
       true)
 
-let suite = suite @ [ QCheck_alcotest.to_alcotest qcheck_invariants ]
+let suite =
+  suite
+  @ List.map QCheck_alcotest.to_alcotest
+      [
+        qcheck_invariants "SIAS" (module Mvcc.Sias_engine);
+        qcheck_invariants "SIAS-V" (module Mvcc.Sias_vector);
+      ]

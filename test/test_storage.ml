@@ -306,10 +306,7 @@ let test_heap_restore () =
   in
   let heap = Heapfile.create pool ~rel:3 ~placement:Heapfile.Append_only in
   let tids = List.init 30 (fun i -> Heapfile.insert heap (bytes_of (string_of_int i))) in
-  let restored =
-    Heapfile.restore pool ~rel:3 ~placement:Heapfile.Append_only
-      ~nblocks:(Heapfile.nblocks heap)
-  in
+  let restored = Heapfile.restore pool ~rel:3 ~placement:Heapfile.Append_only in
   List.iteri
     (fun i tid ->
       Alcotest.(check (option bytes)) "restored row" (Some (bytes_of (string_of_int i)))
