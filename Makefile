@@ -26,9 +26,8 @@ micro:
 
 # Simulated results are part of the model: the default-seed run of every
 # engine x isolation level must reproduce the committed golden output
-# byte for byte (--domains 1 pins the single-domain deterministic path;
-# it is the default, spelled out here because multicore must never leak
-# into it). Wall-clock optimisations that leak into simulated time fail
+# byte for byte (--domains 1 is the default, spelled out here because a
+# 1-shard run must stay exactly the single-domain run). Wall-clock optimisations that leak into simulated time fail
 # here.
 determinism:
 	mkdir -p _obs
@@ -47,14 +46,18 @@ determinism:
 
 # Multicore smoke: the sharded TPC-C bench across 1/2/4 domains with the
 # SI checker attached (non-zero exit on any violation), writing the
-# scalability curve to _obs/BENCH_multicore.json, plus a 2-domain CLI
-# run. Aggregate NOTPM must scale with domains (weak scaling); wall
-# NOTPM additionally shows real-core speedup on multicore hosts.
+# scalability curve to _obs/BENCH_multicore.json, plus two 2-domain CLI
+# runs: the plain one, and one with the paged index, fault injection and
+# the bgwriter, which the sharded runner must honour on every shard.
+# Aggregate NOTPM must scale with domains (weak scaling); wall NOTPM
+# additionally shows real-core speedup on multicore hosts.
 multicore:
 	mkdir -p _obs
 	dune exec bench/main.exe -- multicore --bench-out _obs/BENCH_multicore.json
 	dune exec bin/sias_cli.exe -- run -e sias-v --domains 2 -w 1 -d 10 \
 	  --scale-div 300 --check-si
+	dune exec bin/sias_cli.exe -- run -e sias-v --domains 2 -w 1 -d 10 \
+	  --scale-div 300 --index paged --faults 3 --flush t1 --check-si
 	@echo "multicore OK: _obs/BENCH_multicore.json"
 
 demo:

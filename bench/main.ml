@@ -1411,69 +1411,55 @@ let micro_structs () =
 (* ------------------------------------------------------------------ *)
 
 (* ------------------------------------------------------------------ *)
-(* multicore: shared-nothing TPC-C sharded across OCaml 5 domains.
-   Weak scaling, TPC-C's own mode: warehouses are per domain, so N
-   domains simulate an N-times larger system and aggregate NOTPM should
-   track N. Wall NOTPM shows the parallel speedup on real cores (on a
-   single-core host the wall figure stays flat — that is the machine,
-   not the sharding). Every shard runs with the SI checker attached;
-   any violation fails the whole bench run. *)
+(* multicore: N shards of the same TPC-C setup, each a complete run_tpcc
+   on its own OCaml 5 domain. Weak scaling, TPC-C's own mode: warehouses
+   are per shard, so N domains simulate an N-times larger system and
+   aggregate NOTPM should track N. Wall NOTPM shows the parallel speedup
+   on real cores (on a single-core host the wall figure stays flat --
+   that is the machine, not the sharding). Every shard runs with the SI
+   checker attached; any violation fails the whole bench run. *)
 
 let multicore_bench () =
   section "Multicore: sharded TPC-C on OCaml 5 domains (weak scaling)";
-  let module MC = Tpcc.Tpcc_multicore in
   let engines = if !full then [ "si"; "si-cv"; "sias"; "sias-v" ] else [ "sias-v" ] in
   let domain_counts = if !full then [ 1; 2; 4; 8 ] else [ 1; 2; 4 ] in
   note "host: %d recommended domains" (Domain.recommended_domain_count ());
   List.iter
     (fun engine ->
       let base_notpm = ref 0.0 in
-      let base_wall = ref 0.0 in
       List.iter
         (fun domains ->
-          let cfg = MC.default_config ~engine ~domains ~warehouses_per_domain:1 in
-          let cfg =
+          let setup =
             {
-              cfg with
-              MC.base =
-                { cfg.MC.base with W.duration_s = (if !full then 300.0 else 60.0) };
-              bufpool_shards = (if domains > 1 then 4 else 1);
+              (default_setup ~engine ~warehouses:1) with
+              duration_s = (if !full then 300.0 else 60.0);
+              check_si = true;
             }
           in
-          let r = MC.run cfg in
-          if domains = 1 then begin
-            base_notpm := r.MC.agg_notpm;
-            base_wall := r.MC.wall_s
-          end;
+          let a = aggregate (run_shards ~domains setup) in
+          if domains = 1 then base_notpm := a.agg_notpm;
           let speedup =
-            if !base_notpm > 0.0 then r.MC.agg_notpm /. !base_notpm else 0.0
+            if !base_notpm > 0.0 then a.agg_notpm /. !base_notpm else 0.0
           in
-          multicore_violations := !multicore_violations + r.MC.violations;
+          multicore_violations := !multicore_violations + a.violations;
           note
             "  %-7s domains=%d  agg %7.0f NOTPM (%.2fx vs 1 domain)  wall %6.2fs \
-             %7.0f NOTPM-wall  fsyncs %d/%d commits (saved %d)  violations %d"
-            engine domains r.MC.agg_notpm speedup r.MC.wall_s r.MC.wall_notpm
-            r.MC.slots.Sias_wal.Walslots.commit_fsyncs
-            r.MC.slots.Sias_wal.Walslots.commits
-            r.MC.slots.Sias_wal.Walslots.fsyncs_saved r.MC.violations;
+             %7.0f NOTPM-wall  violations %d"
+            engine domains a.agg_notpm speedup a.wall_s a.wall_notpm a.violations;
           multicore_results :=
             !multicore_results
             @ [
                 ( Printf.sprintf "%s/d%d" engine domains,
                   [
                     ("domains", float_of_int domains);
-                    ("warehouses_per_domain", float_of_int cfg.MC.base.W.warehouses);
-                    ("agg_notpm", r.MC.agg_notpm);
+                    ("warehouses_per_domain", float_of_int setup.warehouses);
+                    ("agg_notpm", a.agg_notpm);
                     ("notpm_scaling_vs_1domain", speedup);
-                    ("wall_s", r.MC.wall_s);
-                    ("wall_notpm", r.MC.wall_notpm);
-                    ("total_committed", float_of_int r.MC.total_committed);
-                    ("new_orders", float_of_int r.MC.total_new_orders);
-                    ( "commit_fsyncs",
-                      float_of_int r.MC.slots.Sias_wal.Walslots.commit_fsyncs );
-                    ( "fsyncs_saved",
-                      float_of_int r.MC.slots.Sias_wal.Walslots.fsyncs_saved );
-                    ("violations", float_of_int r.MC.violations);
+                    ("wall_s", a.wall_s);
+                    ("wall_notpm", a.wall_notpm);
+                    ("total_committed", float_of_int a.committed);
+                    ("new_orders", float_of_int a.new_orders);
+                    ("violations", float_of_int a.violations);
                   ] );
               ])
         domain_counts)

@@ -354,12 +354,36 @@ let report_contention o =
   | Some c ->
       Format.printf "%s@." (Mvcc.Sichecker.report c);
       (* under a serializable level the checker's cycle detector is an
-         additional oracle: any surviving cycle is a bug *)
-      if o.setup.isolation <> "si" then begin
-        Format.printf "%s@." (Mvcc.Sichecker.serializability_report c);
-        if Mvcc.Sichecker.cycle_count c > 0 then exit 1
-      end;
-      if Mvcc.Sichecker.violation_count c > 0 then exit 1
+         additional oracle: any surviving cycle is a bug, counted by
+         [checker_failures] *)
+      if o.setup.isolation <> "si" then
+        Format.printf "%s@." (Mvcc.Sichecker.serializability_report c)
+
+let report_run o =
+  Format.printf "%a@.@." pp_output_summary o;
+  Format.printf "%a@." W.pp_result o.result;
+  List.iter
+    (fun k ->
+      if W.resp_mean o.result k > 0.0 then
+        Format.printf "  %-12s resp mean %.4fs p90 %.4fs max %.4fs@."
+          (W.tx_kind_to_string k) (W.resp_mean o.result k) (W.resp_p90 o.result k)
+          (W.resp_max o.result k))
+    W.all_kinds;
+  Format.printf "buffer: %d hits, %d misses, %d evictions, %d flushes@."
+    o.buf_stats.Sias_storage.Bufpool.hits o.buf_stats.Sias_storage.Bufpool.misses
+    o.buf_stats.Sias_storage.Bufpool.evictions o.buf_stats.Sias_storage.Bufpool.flushes;
+  if o.setup.fault_seed <> None then
+    Format.printf
+      "reliability: %d read retries, %d checksum failures, %d pages repaired, %d torn@."
+      o.buf_stats.Sias_storage.Bufpool.read_retries
+      o.buf_stats.Sias_storage.Bufpool.checksum_failures
+      o.buf_stats.Sias_storage.Bufpool.pages_repaired
+      o.buf_stats.Sias_storage.Bufpool.torn_pages;
+  List.iter (fun (k, v) -> Format.printf "device: %-28s %.2f@." k v) o.device_info;
+  report_obs o;
+  report_commit o;
+  report_repl o;
+  report_contention o
 
 let domains_arg =
   Arg.(
@@ -367,60 +391,11 @@ let domains_arg =
     & opt int 1
     & info [ "domains" ]
         ~doc:
-          "Shard the run across $(docv) OCaml domains (shared-nothing; warehouses \
-           are per domain, TPC-C weak scaling). 1 runs the exact single-domain \
-           deterministic path.")
-
-(* --domains N (N > 1): shared-nothing multicore run. Each domain owns
-   its warehouse range outright; commits stream through per-domain WAL
-   insert slots into one group-commit flusher. Only the flags that are
-   meaningful per shard are honored; device/fault/replication topology
-   flags are single-domain concerns and rejected loudly rather than
-   silently ignored. *)
-let reject_single_domain_flags ~device ~fault_seed ~repl ~wal_device ~index =
-  let bad = ref [] in
-  if device <> Ssd_single then bad := "--device" :: !bad;
-  if fault_seed <> None then bad := "--faults" :: !bad;
-  if repl <> None then bad := "--repl" :: !bad;
-  if wal_device <> None then bad := "--wal-device" :: !bad;
-  if index <> "array" then bad := "--index paged" :: !bad;
-  match !bad with
-  | [] -> ()
-  | flags ->
-      Format.printf "--domains > 1 does not support: %s@."
-        (String.concat ", " flags);
-      exit 2
-
-let run_multicore ~engine ~isolation ~domains ~warehouses ~duration ~buffer ~gc
-    ~scale ~seed ~check_si ~terminals =
-  let module MC = Tpcc.Tpcc_multicore in
-  let base =
-    {
-      (W.default_config ~warehouses) with
-      W.scale = Tpcc.Tpcc_schema.scaled ~div:scale ();
-      duration_s = duration;
-      terminals_per_warehouse = terminals;
-      seed;
-      gc_interval_s = (match gc with Some g when g > 0.0 -> Some g | _ -> None);
-    }
-  in
-  let cfg =
-    {
-      MC.engine;
-      domains;
-      base;
-      isolation = Mvcc.Isolation.of_string_exn isolation;
-      buffer_pages = buffer;
-      bufpool_shards = Stdlib.min 4 buffer;
-      check = check_si || isolation <> "si";
-    }
-  in
-  let r = MC.run cfg in
-  Format.printf "%a@." MC.pp_result r;
-  if r.MC.violations > 0 then begin
-    Format.printf "FAIL: %d snapshot-isolation violations@." r.MC.violations;
-    exit 1
-  end
+          "Run $(docv) shards side by side, each a complete single-domain run \
+           (own device, buffer pool, WAL and checker) on its own OCaml domain. \
+           Warehouses are per shard (TPC-C weak scaling); every other flag \
+           applies to every shard. Shard 0 replays the 1-domain run exactly; \
+           with more than one shard, artifact paths gain a .shard<d> suffix.")
 
 let run_cmd =
   let run engine isolation index device warehouses duration buffer flush gc scale seed
@@ -431,43 +406,24 @@ let run_cmd =
       Format.printf "--domains must be >= 1@.";
       exit 2
     end;
-    if domains > 1 then begin
-      reject_single_domain_flags ~device ~fault_seed ~repl ~wal_device ~index;
-      run_multicore ~engine ~isolation ~domains ~warehouses ~duration ~buffer ~gc
-        ~scale ~seed ~check_si ~terminals
-    end
-    else
-    let o =
-      run_tpcc
+    let outs =
+      run_shards ~domains
         (mk_setup engine isolation index device warehouses duration buffer flush gc scale
            seed fault_seed fault_profile policy retries max_inflight check_si
            terminals metrics_out trace_out stats_interval sync_commit commit_delay
            wal_device repl repl_link repl_seed false)
     in
-    Format.printf "%a@.@." pp_output_summary o;
-    Format.printf "%a@." W.pp_result o.result;
-    List.iter
-      (fun k ->
-        if W.resp_mean o.result k > 0.0 then
-          Format.printf "  %-12s resp mean %.4fs p90 %.4fs max %.4fs@."
-            (W.tx_kind_to_string k) (W.resp_mean o.result k) (W.resp_p90 o.result k)
-            (W.resp_max o.result k))
-      W.all_kinds;
-    Format.printf "buffer: %d hits, %d misses, %d evictions, %d flushes@."
-      o.buf_stats.Sias_storage.Bufpool.hits o.buf_stats.Sias_storage.Bufpool.misses
-      o.buf_stats.Sias_storage.Bufpool.evictions o.buf_stats.Sias_storage.Bufpool.flushes;
-    if fault_seed <> None then
-      Format.printf
-        "reliability: %d read retries, %d checksum failures, %d pages repaired, %d torn@."
-        o.buf_stats.Sias_storage.Bufpool.read_retries
-        o.buf_stats.Sias_storage.Bufpool.checksum_failures
-        o.buf_stats.Sias_storage.Bufpool.pages_repaired
-        o.buf_stats.Sias_storage.Bufpool.torn_pages;
-    List.iter (fun (k, v) -> Format.printf "device: %-28s %.2f@." k v) o.device_info;
-    report_obs o;
-    report_commit o;
-    report_repl o;
-    report_contention o
+    Array.iteri
+      (fun d o ->
+        if domains > 1 then
+          Format.printf "shard %d (warehouses %d-%d)@." d
+            ((d * warehouses) + 1)
+            ((d + 1) * warehouses);
+        report_run o)
+      outs;
+    let agg = aggregate outs in
+    if domains > 1 then Format.printf "%a@." pp_aggregate agg;
+    if agg.violations > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run a TPC-C benchmark and report throughput, latency and I/O.")
@@ -507,7 +463,8 @@ let trace_cmd =
     report_obs o;
     report_commit o;
     report_repl o;
-    report_contention o
+    report_contention o;
+    if checker_failures o > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "trace" ~doc:"Run a workload and render its block trace (paper Figures 3/4).")

@@ -133,6 +133,7 @@ type output = {
   metrics : Metrics.t option;
   repl_stats : Repl.stats option;
   index_io : index_io option;
+  run_wall_s : float;
 }
 
 let make_device = function
@@ -197,7 +198,10 @@ let write_text_file path contents =
   output_string oc contents;
   close_out oc
 
-let run_tpcc setup =
+(* The benchmark driver's global overrides; idempotent, so [run_shards]
+   can resolve artifact paths before each shard's [run_tpcc] applies
+   them again. *)
+let apply_overrides setup =
   let setup =
     match (!fault_override, setup.fault_seed) with
     | Some (seed, profile), None ->
@@ -221,6 +225,10 @@ let run_tpcc setup =
         }
     | None -> setup
   in
+  setup
+
+let run_tpcc setup =
+  let setup = apply_overrides setup in
   let (module E : Mvcc.Engine.S) = engine_module setup.engine in
   let module WE = W.Make (E) in
   let faults =
@@ -374,7 +382,9 @@ let run_tpcc setup =
     end
     else None
   in
+  let wall_t0 = Sias_util.Monotime.now () in
   let result = WE.run eng tables cfg in
+  let run_wall_s = Sias_util.Monotime.elapsed_since wall_t0 in
   Bufpool.flush_os_cache db.Db.pool;
   let tables_list =
     [
@@ -495,7 +505,39 @@ let run_tpcc setup =
               ix_splits = sum (fun s -> s.Mvcc.Index.s_splits);
               ix_merges = sum (fun s -> s.Mvcc.Index.s_merges);
             });
+    run_wall_s;
   }
+
+(* Shard [d] of an N-domain run writes its artifacts next to the path
+   the user gave: [m.prom] becomes [m.shard1.prom]. *)
+let shard_path d path =
+  Printf.sprintf "%s.shard%d%s"
+    (Filename.remove_extension path)
+    d (Filename.extension path)
+
+let run_shards ~domains setup =
+  if domains < 1 then invalid_arg "run_shards: domains must be >= 1";
+  let setup = apply_overrides setup in
+  (* Shard 0 keeps the seed, so it replays the single-domain run; the
+     others draw theirs from independent streams of the same family —
+     a shared stream would silently correlate the shards' workloads. *)
+  let streams =
+    Array.init domains (fun d -> Sias_util.Rng.stream ~seed:setup.seed ~stream:d)
+  in
+  Sias_util.Rng.assert_independent streams;
+  let shard_setup d =
+    let path = if domains = 1 then Fun.id else Option.map (shard_path d) in
+    {
+      setup with
+      seed =
+        (if d = 0 then setup.seed
+         else Int64.to_int (Sias_util.Rng.int64 streams.(d)) land max_int);
+      metrics_out = path setup.metrics_out;
+      trace_out = path setup.trace_out;
+    }
+  in
+  let setups = Array.init domains shard_setup in
+  Sias_util.Domainpool.run ~domains (fun d -> run_tpcc setups.(d))
 
 let pp_output_summary fmt o =
   Format.fprintf fmt
@@ -504,3 +546,49 @@ let pp_output_summary fmt o =
     (match o.setup.flush with T1 -> "t1" | T2 -> "t2")
     o.setup.warehouses o.result.W.elapsed_s o.result.W.notpm o.run_write_mb
     o.run_write_count o.run_read_mb o.run_read_count o.space_mb (100.0 *. o.avg_fill)
+
+let checker_failures o =
+  match o.checker with
+  | None -> 0
+  | Some c ->
+      (* under a serializable level any surviving cycle is a bug too *)
+      Mvcc.Sichecker.violation_count c
+      + (if isolation_level o.setup.isolation = `Si then 0
+         else Mvcc.Sichecker.cycle_count c)
+
+type aggregate = {
+  agg_notpm : float;
+  wall_s : float;
+  wall_notpm : float;
+  committed : int;
+  new_orders : int;
+  violations : int;
+}
+
+let aggregate outs =
+  let sum f = Array.fold_left (fun acc o -> acc + f o) 0 outs in
+  let new_orders =
+    sum (fun o ->
+        match List.assoc_opt W.New_order o.result.W.per_kind with
+        | Some ks -> ks.W.committed
+        | None -> 0)
+  in
+  (* each shard times only its own measured run, so the loads need no
+     barrier: the wall window is the slowest shard's run *)
+  let wall_s =
+    Array.fold_left (fun acc o -> Float.max acc o.run_wall_s) 1e-9 outs
+  in
+  {
+    agg_notpm = Array.fold_left (fun acc o -> acc +. o.result.W.notpm) 0.0 outs;
+    wall_s;
+    wall_notpm = float_of_int new_orders *. 60.0 /. wall_s;
+    committed = sum (fun o -> o.result.W.total_committed);
+    new_orders;
+    violations = sum checker_failures;
+  }
+
+let pp_aggregate fmt a =
+  Format.fprintf fmt
+    "aggregate: %.0f NOTPM (sim), %.0f NOTPM (wall over %.2fs), %d committed, \
+     %d violations"
+    a.agg_notpm a.wall_notpm a.wall_s a.committed a.violations

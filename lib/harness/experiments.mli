@@ -164,8 +164,39 @@ type output = {
   index_io : index_io option;
       (** present when [measure_index_io] was set; covers exactly the
           measured run (same window as the block trace) *)
+  run_wall_s : float;
+      (** monotonic wall-clock seconds spent in the measured run *)
 }
 
 val run_tpcc : setup -> output
 
+val run_shards : domains:int -> setup -> output array
+(** Run [domains] independent shards of [setup], each a {!run_tpcc} on
+    its own OCaml domain with its own device, database, WAL, bus and
+    checker; results come back in shard order. [setup.warehouses] is per
+    shard (TPC-C weak scaling). Shard 0 keeps [setup.seed], so its output
+    is exactly the single-domain run's; shard [d >= 1] runs on a seed
+    drawn from {!Sias_util.Rng.stream} [~stream:d]. With [domains > 1],
+    shard [d] writes [metrics_out] / [trace_out] to
+    [<base>.shard<d><ext>]. [domains = 1] runs inline and is
+    [[| run_tpcc setup |]]. *)
+
 val pp_output_summary : Format.formatter -> output -> unit
+
+val checker_failures : output -> int
+(** Checker violations, plus serializability cycles under [ssi]/[wsi];
+    0 without a checker. *)
+
+(** What an N-shard run adds up to. *)
+type aggregate = {
+  agg_notpm : float;  (** sum of the shards' simulated NOTPM *)
+  wall_s : float;  (** the slowest shard's [run_wall_s] *)
+  wall_notpm : float;  (** committed new-orders * 60 / [wall_s] *)
+  committed : int;
+  new_orders : int;
+  violations : int;  (** sum of {!checker_failures} *)
+}
+
+val aggregate : output array -> aggregate
+
+val pp_aggregate : Format.formatter -> aggregate -> unit

@@ -3,7 +3,9 @@
     Every layer of the stack (device model, buffer pool, WAL, background
     writer, contention manager, engines, TPC-C driver) publishes into one
     bus per database context; any number of consumers — the SI invariant
-    checker, the metrics recorder, the span tracer — subscribe to it.
+    checker, the metrics recorder, the span tracer — subscribe to it. A
+    multi-domain run has one database, and so one bus, per shard: each
+    bus and its subscribers stay on the shard's domain (see {!create}).
 
     The event type is extensible so higher layers can add constructors
     carrying their own payload types (the MVCC layer adds row-level
@@ -115,16 +117,8 @@ val create : unit -> t
 (** A bus with no subscribers: {!active} is [false] and {!publish} is a
     no-op. The bus is owned by the creating domain: {!publish} and
     {!subscribe} from any other domain fail loudly, because subscribers
-    are unsynchronized closures. See {!set_shared}. *)
-
-val set_shared : t -> unit
-(** Lift the owner-domain assertion: every subscriber on this bus is
-    declared thread-safe (does its own locking). Use sparingly — the
-    sharded design wants one bus per domain. *)
-
-val adopt : t -> unit
-(** Transfer ownership to the calling domain (e.g. a bus created on the
-    coordinator and handed to a worker before any events flow). *)
+    are unsynchronized closures. A multi-domain run creates one bus per
+    shard, on the shard's own domain. *)
 
 val subscribe : t -> (event -> unit) -> unit
 (** Add a consumer; it sees every subsequently published event, in

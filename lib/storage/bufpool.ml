@@ -37,28 +37,6 @@ type frame = {
   mutable last_use : int;
 }
 
-(* A shard owns a contiguous slice of the frame array, its own mapping
-   table, its own clock hands and its own hit/miss counters, guarded by
-   its own lock. Pages hash to shards by key, so two domains touching
-   different pages contend only when they collide on a shard — the
-   per-CPU hash-partitioning of DragonflyBSD's niscache / PostgreSQL's
-   buffer mapping partitions. With [shards = 1] (the default) the lock
-   is never taken and the sweep order over the whole frame array is
-   exactly the pre-sharding behavior, which the determinism goldens pin
-   down. *)
-type shard = {
-  lo : int; (* first frame index owned by this shard *)
-  n : int; (* frames owned *)
-  lock : Mutex.t;
-  index : (key, int) Hashtbl.t;
-  mutable hand : int; (* clock-sweep offset in [0, n) *)
-  mutable bg_hand : int; (* background-writer scan offset *)
-  mutable tick : int; (* logical use counter for LRU-ish bgwriter order *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-}
-
 type stats = {
   hits : int;
   misses : int;
@@ -84,12 +62,13 @@ type t = {
   ring : (key, Page.t) Hashtbl.t; (* small cache for ring-buffer reads *)
   ring_fifo : key Queue.t;
   frames : frame array;
-  shards : shard array;
-  locking : bool; (* shards > 1: take the locks *)
-  io_lock : Mutex.t;
-      (* guards everything below the mapping layer: the simulated disk,
-         device, sim clock, OS-cache model, fault bookkeeping and the
-         I/O statistics. Acquired strictly after a shard lock. *)
+  index : (key, int) Hashtbl.t; (* resident page -> frame index *)
+  mutable hand : int; (* clock-sweep position *)
+  mutable bg_hand : int; (* background-writer scan position *)
+  mutable tick : int; (* logical use counter for LRU-ish bgwriter order *)
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
   disk : (key, Page.t) Hashtbl.t; (* flushed page images *)
   bus : Bus.t option;
   faults : Faultdev.t option;
@@ -114,11 +93,8 @@ type t = {
 }
 
 let create ~device ~clock ~capacity_pages ?(page_size = 8192) ?(rel_region_blocks = 65536)
-    ?os_cache_interval ?os_cache_pages ?bus ?faults ?(max_read_retries = 4) ?(shards = 1) () =
+    ?os_cache_interval ?os_cache_pages ?bus ?faults ?(max_read_retries = 4) () =
   if capacity_pages <= 0 then invalid_arg "Bufpool.create: capacity must be positive";
-  if shards < 1 then invalid_arg "Bufpool.create: shards must be >= 1";
-  if shards > capacity_pages then
-    invalid_arg "Bufpool.create: more shards than frames";
   let dummy_key = { rel = -1; block = -1 } in
   let frames =
     Array.init capacity_pages (fun idx ->
@@ -133,25 +109,6 @@ let create ~device ~clock ~capacity_pages ?(page_size = 8192) ?(rel_region_block
           last_use = 0;
         })
   in
-  let shard_arr =
-    Array.init shards (fun i ->
-        (* contiguous slices, remainder spread over the first shards *)
-        let base = capacity_pages / shards and extra = capacity_pages mod shards in
-        let n = base + if i < extra then 1 else 0 in
-        let lo = (i * base) + Stdlib.min i extra in
-        {
-          lo;
-          n;
-          lock = Mutex.create ();
-          index = Hashtbl.create (2 * Stdlib.max 1 n);
-          hand = 0;
-          bg_hand = 0;
-          tick = 0;
-          hits = 0;
-          misses = 0;
-          evictions = 0;
-        })
-  in
   {
     device;
     clock;
@@ -164,9 +121,13 @@ let create ~device ~clock ~capacity_pages ?(page_size = 8192) ?(rel_region_block
     ring = Hashtbl.create 64;
     ring_fifo = Queue.create ();
     frames;
-    shards = shard_arr;
-    locking = shards > 1;
-    io_lock = Mutex.create ();
+    index = Hashtbl.create (2 * capacity_pages);
+    hand = 0;
+    bg_hand = 0;
+    tick = 0;
+    hits = 0;
+    misses = 0;
+    evictions = 0;
     disk = Hashtbl.create 1024;
     flushes = 0;
     read_stall = 0.0;
@@ -187,44 +148,6 @@ let create ~device ~clock ~capacity_pages ?(page_size = 8192) ?(rel_region_block
 let page_size t = t.page_size
 let device t = t.device
 let now t = Simclock.now t.clock
-let shard_count t = Array.length t.shards
-
-let shard_of t key =
-  if Array.length t.shards = 1 then t.shards.(0)
-  else t.shards.(Hashtbl.hash key mod Array.length t.shards)
-
-(* Lock helpers compile to straight calls of [f] in the single-shard
-   configuration: the deterministic path pays nothing. Lock order is
-   always shard(s) first, [io_lock] second. *)
-let lock_shard t s = if t.locking then Mutex.lock s.lock
-let unlock_shard t s = if t.locking then Mutex.unlock s.lock
-
-let with_io t f =
-  if not t.locking then f ()
-  else begin
-    Mutex.lock t.io_lock;
-    match f () with
-    | v ->
-        Mutex.unlock t.io_lock;
-        v
-    | exception e ->
-        Mutex.unlock t.io_lock;
-        raise e
-  end
-
-let with_all_shards t f =
-  if not t.locking then f ()
-  else begin
-    Array.iter (fun s -> Mutex.lock s.lock) t.shards;
-    match f () with
-    | v ->
-        Array.iter (fun s -> Mutex.unlock s.lock) t.shards;
-        v
-    | exception e ->
-        Array.iter (fun s -> Mutex.unlock s.lock) t.shards;
-        raise e
-  end
-
 (* The bus with subscribers, if observability is on; publishing sites
    build their events only behind this check. *)
 let obs t =
@@ -254,8 +177,7 @@ let set_repair t fn = t.repair <- Some fn
    charged to the simulated clock; the image is then checksum-verified,
    and a failing page is handed to the installed repair handler (WAL
    full-page redo) — a page is served correct, repaired, or the read
-   fails loudly with [Corrupt_page]. Never silent garbage.
-   Caller holds [io_lock] when sharded. *)
+   fails loudly with [Corrupt_page]. Never silent garbage. *)
 let read_backoff_base_s = 0.0005
 
 let read_image t key =
@@ -392,7 +314,6 @@ let os_cache_tick t =
         t.os_next_flush <- Simclock.now t.clock +. interval
       end
 
-(* Caller holds the frame's shard lock and [io_lock] when sharded. *)
 let write_back t frame ~sync =
   Crashpoint.reach "bufpool.writeback.pre";
   let durable =
@@ -462,16 +383,16 @@ let write_back t frame ~sync =
         (Bus.Page_flush { rel = frame.key.rel; block = frame.key.block; sync })
   | None -> ()
 
-(* Clock sweep within one shard's slice: find an unpinned victim, giving
-   recently referenced frames a second chance. Dirty victims are written
-   back synchronously. Caller holds the shard lock. *)
-let find_victim t s =
+(* Clock sweep: find an unpinned victim, giving recently referenced
+   frames a second chance. Dirty victims are written back synchronously. *)
+let find_victim t =
+  let n = Array.length t.frames in
   let attempts = ref 0 in
   let victim = ref None in
   while !victim = None do
-    if !attempts > 2 * s.n then raise (No_free_frames { capacity = s.n });
-    let f = t.frames.(s.lo + s.hand) in
-    s.hand <- (s.hand + 1) mod s.n;
+    if !attempts > 2 * n then raise (No_free_frames { capacity = n });
+    let f = t.frames.(t.hand) in
+    t.hand <- (t.hand + 1) mod n;
     incr attempts;
     if f.pin = 0 then begin
       if f.refbit then f.refbit <- false else victim := Some f
@@ -479,8 +400,8 @@ let find_victim t s =
   done;
   match !victim with Some f -> f | None -> assert false
 
-let load_frame t s key =
-  let f = find_victim t s in
+let load_frame t key =
+  let f = find_victim t in
   if f.used then begin
     Crashpoint.reach "bufpool.evict.pre";
     (match obs t with
@@ -489,11 +410,11 @@ let load_frame t s key =
           (Bus.Page_evict
              { rel = f.key.rel; block = f.key.block; dirty = f.dirty })
     | None -> ());
-    if f.dirty then with_io t (fun () -> write_back t f ~sync:true);
-    Hashtbl.remove s.index f.key;
-    s.evictions <- s.evictions + 1
+    if f.dirty then write_back t f ~sync:true;
+    Hashtbl.remove t.index f.key;
+    t.evictions <- t.evictions + 1
   end;
-  (match with_io t (fun () -> read_image t key) with
+  (match read_image t key with
   | Some page -> f.page <- page
   | None -> f.page <- Page.create ~size:t.page_size);
   f.key <- key;
@@ -502,51 +423,34 @@ let load_frame t s key =
   f.refbit <- true;
   f
 
-(* Caller holds the shard lock. *)
-let get_frame t s key =
-  match Hashtbl.find_opt s.index key with
+let get_frame t key =
+  match Hashtbl.find_opt t.index key with
   | Some i ->
       let f = t.frames.(i) in
-      s.hits <- s.hits + 1;
+      t.hits <- t.hits + 1;
       (match obs t with
       | Some b -> Bus.publish b (Bus.Page_hit { rel = key.rel; block = key.block })
       | None -> ());
       f.refbit <- true;
       f
   | None ->
-      s.misses <- s.misses + 1;
+      t.misses <- t.misses + 1;
       (match obs t with
       | Some b -> Bus.publish b (Bus.Page_miss { rel = key.rel; block = key.block })
       | None -> ());
-      let f = load_frame t s key in
-      Hashtbl.replace s.index key f.idx;
+      let f = load_frame t key in
+      Hashtbl.replace t.index key f.idx;
       f
 
 let with_page t ~rel ~block fn =
   (match t.os_cache_interval with
-  | Some _ -> with_io t (fun () -> os_cache_tick t)
+  | Some _ -> os_cache_tick t
   | None -> ());
-  let key = { rel; block } in
-  let s = shard_of t key in
-  lock_shard t s;
-  (match get_frame t s key with
-  | f ->
-      (* the pin taken under the lock keeps the frame from eviction once
-         the lock is dropped; page-content synchronization between
-         domains is the caller's concern (shard your data) *)
-      f.pin <- f.pin + 1;
-      s.tick <- s.tick + 1;
-      f.last_use <- s.tick;
-      unlock_shard t s;
-      Fun.protect
-        ~finally:(fun () ->
-          lock_shard t s;
-          f.pin <- f.pin - 1;
-          unlock_shard t s)
-        (fun () -> fn f.page)
-  | exception e ->
-      unlock_shard t s;
-      raise e)
+  let f = get_frame t { rel; block } in
+  f.pin <- f.pin + 1;
+  t.tick <- t.tick + 1;
+  f.last_use <- t.tick;
+  Fun.protect ~finally:(fun () -> f.pin <- f.pin - 1) (fun () -> fn f.page)
 
 (* Ring-buffer access for background scans (vacuum/GC): a resident page
    is used without promoting it (no reference bit, no recency bump); a
@@ -567,63 +471,44 @@ let ring_put t key page =
 
 let with_page_ro t ~rel ~block fn =
   (match t.os_cache_interval with
-  | Some _ -> with_io t (fun () -> os_cache_tick t)
+  | Some _ -> os_cache_tick t
   | None -> ());
   let key = { rel; block } in
-  let s = shard_of t key in
-  lock_shard t s;
-  match Hashtbl.find_opt s.index key with
+  match Hashtbl.find_opt t.index key with
   | Some i ->
       let f = t.frames.(i) in
-      s.hits <- s.hits + 1;
+      t.hits <- t.hits + 1;
       (match obs t with
       | Some b -> Bus.publish b (Bus.Page_hit { rel; block })
       | None -> ());
       f.pin <- f.pin + 1;
-      unlock_shard t s;
-      Fun.protect
-        ~finally:(fun () ->
-          lock_shard t s;
-          f.pin <- f.pin - 1;
-          unlock_shard t s)
-        (fun () -> fn f.page)
-  | None -> (
+      Fun.protect ~finally:(fun () -> f.pin <- f.pin - 1) (fun () -> fn f.page)
+  | None ->
       let resolved =
-        match
-          with_io t (fun () ->
-              match Hashtbl.find_opt t.ring key with
-              | Some page -> Some page
-              | None -> None)
-        with
+        match Hashtbl.find_opt t.ring key with
         | Some page ->
-            s.hits <- s.hits + 1;
+            t.hits <- t.hits + 1;
             (match obs t with
             | Some b -> Bus.publish b (Bus.Page_hit { rel; block })
             | None -> ());
             page
         | None ->
-            s.misses <- s.misses + 1;
+            t.misses <- t.misses + 1;
             (match obs t with
             | Some b -> Bus.publish b (Bus.Page_miss { rel; block })
             | None -> ());
-            with_io t (fun () ->
-                let page =
-                  match read_image t key with
-                  | Some page -> page
-                  | None -> Page.create ~size:t.page_size
-                in
-                ring_put t key page;
-                page)
+            let page =
+              match read_image t key with
+              | Some page -> page
+              | None -> Page.create ~size:t.page_size
+            in
+            ring_put t key page;
+            page
       in
-      unlock_shard t s;
-      fn resolved)
-  | exception e ->
-      unlock_shard t s;
-      raise e
+      fn resolved
 
-(* Caller holds the shard lock (or the pool is unsharded). *)
-let find_resident_in s t ~rel ~block =
-  match Hashtbl.find_opt s.index { rel; block } with
+let find_resident t ~rel ~block =
+  match Hashtbl.find_opt t.index { rel; block } with
   | Some i -> Some t.frames.(i)
   | None -> None
 
@@ -633,114 +518,70 @@ let find_resident_in s t ~rel ~block =
    the frame dirty — hints are advisory and piggyback on the page's next
    real write. Returns whether the patch landed. *)
 let patch_resident t ~rel ~block ~slot ~off ~bits =
-  let s = shard_of t { rel; block } in
-  lock_shard t s;
-  let r =
-    match Hashtbl.find_opt s.index { rel; block } with
-    | Some i ->
-        Crashpoint.reach "bufpool.hint.patch";
-        Page.or_byte t.frames.(i).page slot ~off ~bits;
-        true
-    | None -> false
-  in
-  unlock_shard t s;
-  r
+  match Hashtbl.find_opt t.index { rel; block } with
+  | Some i ->
+      Crashpoint.reach "bufpool.hint.patch";
+      Page.or_byte t.frames.(i).page slot ~off ~bits;
+      true
+  | None -> false
 
 let mark_dirty t ~rel ~block =
   (* any mutation invalidates the ring copy *)
-  with_io t (fun () -> Hashtbl.remove t.ring { rel; block });
-  let s = shard_of t { rel; block } in
-  lock_shard t s;
-  let found =
-    match find_resident_in s t ~rel ~block with
-    | Some f ->
-        f.dirty <- true;
-        true
-    | None -> false
-  in
-  unlock_shard t s;
-  if not found then invalid_arg "Bufpool.mark_dirty: page not resident"
+  Hashtbl.remove t.ring { rel; block };
+  match find_resident t ~rel ~block with
+  | Some f -> f.dirty <- true
+  | None -> invalid_arg "Bufpool.mark_dirty: page not resident"
 
 let flush_block t ~rel ~block ~sync =
-  let s = shard_of t { rel; block } in
-  lock_shard t s;
-  (match find_resident_in s t ~rel ~block with
-  | Some f when f.dirty -> with_io t (fun () -> write_back t f ~sync)
-  | Some _ | None -> ());
-  unlock_shard t s
+  match find_resident t ~rel ~block with
+  | Some f when f.dirty -> write_back t f ~sync
+  | Some _ | None -> ()
 
 (* Checkpoints issue their writes in (relation, block) order, like
    PostgreSQL's sorted checkpoints: append regions and index files flush
    as near-sequential streams, which matters greatly on the HDD model. *)
 let flush_all t ~sync =
-  with_all_shards t (fun () ->
-      let dirty =
-        Array.to_list t.frames |> List.filter (fun f -> f.used && f.dirty)
-      in
-      let sorted =
-        List.sort
-          (fun a b -> compare (a.key.rel, a.key.block) (b.key.rel, b.key.block))
-          dirty
-      in
-      List.iter (fun f -> with_io t (fun () -> write_back t f ~sync)) sorted)
+  let dirty =
+    Array.to_list t.frames |> List.filter (fun f -> f.used && f.dirty)
+  in
+  let sorted =
+    List.sort
+      (fun a b -> compare (a.key.rel, a.key.block) (b.key.rel, b.key.block))
+      dirty
+  in
+  List.iter (fun f -> write_back t f ~sync) sorted
 
-(* The background writer sweeps each shard's slice round-robin
+(* The background writer sweeps the frame array round-robin
    (PostgreSQL's bgwriter clock scan): every dirty page is eventually
    trickled out regardless of recency, which is what persists partially
-   filled append pages under the paper's t1 threshold. The page budget is
-   split over shards; with one shard this is the historical scan. *)
+   filled append pages under the paper's t1 threshold. *)
 let flush_some t ~max_pages =
-  let nshards = Array.length t.shards in
-  Array.iteri
-    (fun i s ->
-      let budget =
-        if nshards = 1 then max_pages
-        else
-          (max_pages / nshards)
-          + if i < max_pages mod nshards then 1 else 0
-      in
-      if budget > 0 && s.n > 0 then begin
-        lock_shard t s;
-        let written = ref 0 in
-        let scanned = ref 0 in
-        while !written < budget && !scanned < s.n do
-          let f = t.frames.(s.lo + s.bg_hand) in
-          s.bg_hand <- (s.bg_hand + 1) mod s.n;
-          incr scanned;
-          if f.used && f.dirty then begin
-            with_io t (fun () -> write_back t f ~sync:false);
-            incr written
-          end
-        done;
-        unlock_shard t s
-      end)
-    t.shards
+  let n = Array.length t.frames in
+  let written = ref 0 in
+  let scanned = ref 0 in
+  while !written < max_pages && !scanned < n do
+    let f = t.frames.(t.bg_hand) in
+    t.bg_hand <- (t.bg_hand + 1) mod n;
+    incr scanned;
+    if f.used && f.dirty then begin
+      write_back t f ~sync:false;
+      incr written
+    end
+  done
 
 let dirty_count t =
-  with_all_shards t (fun () ->
-      Array.fold_left
-        (fun acc f -> if f.used && f.dirty then acc + 1 else acc)
-        0 t.frames)
+  Array.fold_left
+    (fun acc f -> if f.used && f.dirty then acc + 1 else acc)
+    0 t.frames
 
-let resident t ~rel ~block =
-  let s = shard_of t { rel; block } in
-  lock_shard t s;
-  let r = find_resident_in s t ~rel ~block <> None in
-  unlock_shard t s;
-  r
+let resident t ~rel ~block = find_resident t ~rel ~block <> None
 
 let is_dirty t ~rel ~block =
-  let s = shard_of t { rel; block } in
-  lock_shard t s;
-  let r =
-    match find_resident_in s t ~rel ~block with
-    | Some f -> f.dirty
-    | None -> false
-  in
-  unlock_shard t s;
-  r
+  match find_resident t ~rel ~block with
+  | Some f -> f.dirty
+  | None -> false
 
-let drop_cache_locked t =
+let drop_cache t =
   Array.iter
     (fun f ->
       f.used <- false;
@@ -748,38 +589,27 @@ let drop_cache_locked t =
       f.pin <- 0;
       f.refbit <- false)
     t.frames;
-  Array.iter (fun s -> Hashtbl.reset s.index) t.shards;
+  Hashtbl.reset t.index;
   Hashtbl.reset t.ring;
   Queue.clear t.ring_fifo
-
-let drop_cache t = with_all_shards t (fun () -> drop_cache_locked t)
 
 (* Dirty crash: torn in-flight writes land (only their persisted prefix
    survives), then every frame is dropped. What remains is exactly what a
    failure-prone device would hold: flushed images, some of them torn. *)
 let crash t =
-  with_all_shards t (fun () ->
-      with_io t (fun () ->
-          Hashtbl.iter (fun key img -> Hashtbl.replace t.disk key img) t.torn_pending;
-          t.torn_pages <- t.torn_pages + Hashtbl.length t.torn_pending;
-          Hashtbl.reset t.torn_pending;
-          Hashtbl.reset t.os_pending;
-          (* after a crash, trust nothing: recovery re-verifies checksums *)
-          Hashtbl.reset t.trusted);
-      drop_cache_locked t)
+  Hashtbl.iter (fun key img -> Hashtbl.replace t.disk key img) t.torn_pending;
+  t.torn_pages <- t.torn_pages + Hashtbl.length t.torn_pending;
+  Hashtbl.reset t.torn_pending;
+  Hashtbl.reset t.os_pending;
+  (* after a crash, trust nothing: recovery re-verifies checksums *)
+  Hashtbl.reset t.trusted;
+  drop_cache t
 
 let stats t =
-  let hits = ref 0 and misses = ref 0 and evictions = ref 0 in
-  Array.iter
-    (fun (s : shard) ->
-      hits := !hits + s.hits;
-      misses := !misses + s.misses;
-      evictions := !evictions + s.evictions)
-    t.shards;
   {
-    hits = !hits;
-    misses = !misses;
-    evictions = !evictions;
+    hits = t.hits;
+    misses = t.misses;
+    evictions = t.evictions;
     flushes = t.flushes;
     read_stall_s = t.read_stall;
     write_stall_s = t.write_stall;
@@ -789,42 +619,36 @@ let stats t =
     torn_pages = t.torn_pages;
   }
 
-let on_disk t ~rel ~block =
-  with_io t (fun () -> Hashtbl.mem t.disk { rel; block })
+let on_disk t ~rel ~block = Hashtbl.mem t.disk { rel; block }
 
 let extent t ~rel =
   let top = ref (-1) in
   let see key = if key.rel = rel && key.block > !top then top := key.block in
-  with_io t (fun () -> Hashtbl.iter (fun key _ -> see key) t.disk);
-  with_all_shards t (fun () -> Array.iter (fun f -> if f.used then see f.key) t.frames);
+  Hashtbl.iter (fun key _ -> see key) t.disk;
+  Array.iter (fun f -> if f.used then see f.key) t.frames;
   !top + 1
 
 let dirty_keys t =
-  with_all_shards t (fun () ->
-      Array.to_list t.frames
-      |> List.filter_map (fun f ->
-             if f.used && f.dirty then Some (f.key.rel, f.key.block) else None))
+  Array.to_list t.frames
+  |> List.filter_map (fun f ->
+         if f.used && f.dirty then Some (f.key.rel, f.key.block) else None)
 
 let trim_block t ~rel ~block =
-  let s = shard_of t { rel; block } in
-  lock_shard t s;
-  (match find_resident_in s t ~rel ~block with
+  (match find_resident t ~rel ~block with
   | Some f ->
       f.page <- Page.create ~size:t.page_size;
       f.dirty <- false
   | None -> ());
-  unlock_shard t s;
-  with_io t (fun () ->
-      Hashtbl.remove t.disk { rel; block };
-      Hashtbl.remove t.os_pending { rel; block };
-      Hashtbl.remove t.ring { rel; block };
-      Hashtbl.remove t.torn_pending { rel; block };
-      Hashtbl.remove t.trusted { rel; block };
-      (* tell the device: its GC must never relocate this dead data *)
-      Device.trim t.device ~sector:(sector_of t ~rel ~block) ~bytes:t.page_size;
-      t.trims <- t.trims + 1;
-      match obs t with
-      | Some b -> Bus.publish b (Bus.Page_trim { rel; block })
-      | None -> ())
+  Hashtbl.remove t.disk { rel; block };
+  Hashtbl.remove t.os_pending { rel; block };
+  Hashtbl.remove t.ring { rel; block };
+  Hashtbl.remove t.torn_pending { rel; block };
+  Hashtbl.remove t.trusted { rel; block };
+  (* tell the device: its GC must never relocate this dead data *)
+  Device.trim t.device ~sector:(sector_of t ~rel ~block) ~bytes:t.page_size;
+  t.trims <- t.trims + 1;
+  match obs t with
+  | Some b -> Bus.publish b (Bus.Page_trim { rel; block })
+  | None -> ()
 
 let trims t = t.trims

@@ -10,16 +10,8 @@
     Each relation owns a disjoint sector region on the device, so the
     block trace shows per-relation "swimlanes" (paper, Section 5.1).
 
-    The pool can be partitioned into [shards]: each shard owns a slice
-    of the frame array with its own mapping table, clock hands and lock,
-    and pages hash to shards by key, so domains touching disjoint pages
-    rarely contend (PostgreSQL's buffer-mapping partitions). Below the
-    mapping layer a single I/O lock serializes the simulated device and
-    clock. With the default [shards = 1] no lock is ever taken and
-    behavior is byte-identical to the unsharded pool. The pool
-    guarantees frame-table integrity across domains; synchronizing
-    {e page content} between domains remains the caller's concern —
-    shard your data. *)
+    A pool is unsynchronized and belongs to one domain: a multi-domain
+    run gives every shard its own database, and with it its own pool. *)
 
 type t
 
@@ -46,18 +38,13 @@ val create :
   ?bus:Sias_obs.Bus.t ->
   ?faults:Flashsim.Faultdev.t ->
   ?max_read_retries:int ->
-  ?shards:int ->
   unit ->
   t
 (** [capacity_pages] frames of [page_size] (default 8192) bytes.
     [rel_region_blocks] (default 65536) sizes each relation's device
     region. [faults] injects device faults on this pool's reads and
     writes; transient read errors are retried up to [max_read_retries]
-    (default 4) times with exponential backoff charged to the clock.
-    [shards] (default 1) partitions the frames for multi-domain access;
-    must not exceed [capacity_pages]. *)
-
-val shard_count : t -> int
+    (default 4) times with exponential backoff charged to the clock. *)
 
 val page_size : t -> int
 val device : t -> Flashsim.Device.t

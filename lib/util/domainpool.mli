@@ -1,40 +1,8 @@
-(** Parallel-execution primitives for OCaml 5 domains.
+(** Parallel execution over OCaml 5 domains.
 
-    Shared-nothing model: partition work per domain, communicate through
-    explicit channels. See DESIGN.md "Multicore execution model". *)
-
-module Chan : sig
-  (** Unbounded multi-producer multi-consumer channel (mutex + condvar). *)
-
-  type 'a t
-
-  val create : unit -> 'a t
-
-  val send : 'a t -> 'a -> unit
-  (** Raises [Invalid_argument] if the channel has been closed. *)
-
-  val close : 'a t -> unit
-  (** Wake all blocked receivers; subsequent [recv] drains then returns
-      [None]. Idempotent. *)
-
-  val recv : 'a t -> 'a option
-  (** Block until a value is available or the channel is closed and
-      empty ([None]). *)
-
-  val try_recv : 'a t -> 'a option
-  (** Non-blocking receive. *)
-
-  val length : 'a t -> int
-end
-
-module Barrier : sig
-  (** Reusable phase barrier for [parties] participants. *)
-
-  type t
-
-  val create : int -> t
-  val wait : t -> unit
-end
+    Shared-nothing model: each domain runs its own share of the work on
+    data it owns, and the only cross-domain traffic is the result it
+    returns. See DESIGN.md "Multicore execution model". *)
 
 val run : domains:int -> (int -> 'a) -> 'a array
 (** [run ~domains f] evaluates [f i] for each domain index

@@ -1,19 +1,13 @@
-(* Multicore substrate tests: per-domain RNG streams, monotonic timing,
-   NaN-safe percentiles, the lock-free CLOG, the sharded buffer pool,
-   per-domain WAL insert slots, bus domain ownership, and the sharded
-   TPC-C runner with the SI checker as oracle. *)
+(* Multicore tests: per-domain RNG streams, monotonic timing, NaN-safe
+   percentiles, the lock-free CLOG, bus domain ownership, and the sharded
+   TPC-C runner ([Experiments.run_shards]) with the SI checker as
+   oracle. *)
 
 open Sias_util
 module Bus = Sias_obs.Bus
 module Txn = Sias_txn.Txn
-module Bufpool = Sias_storage.Bufpool
-module Page = Sias_storage.Page
-module Wal = Sias_wal.Wal
-module Walslots = Sias_wal.Walslots
-module Device = Flashsim.Device
 module W = Tpcc.Tpcc_workload
-module MC = Tpcc.Tpcc_multicore
-module S = Tpcc.Tpcc_schema
+module E = Harness.Experiments
 
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -212,180 +206,6 @@ let test_clog_lockfree_readers () =
   check "all committed" true (Txn.is_committed mgr total && Txn.is_committed mgr 1)
 
 (* ------------------------------------------------------------------ *)
-(* Sharded buffer pool *)
-
-let mk_pool ?(shards = 1) ?(capacity = 64) () =
-  let clock = Simclock.create () in
-  let device = Device.ssd_x25e ~name:(Printf.sprintf "t-ssd-%d" shards) () in
-  Bufpool.create ~device ~clock ~capacity_pages:capacity ~page_size:1024 ~shards ()
-
-let tag_bytes tag = Bytes.of_string (Printf.sprintf "tag-%06d" tag)
-
-let fill_page page ~tag =
-  let b = tag_bytes tag in
-  if Page.live_count page = 0 then ignore (Page.insert page b)
-  else ignore (Page.update page 0 b)
-
-let read_tag page =
-  match Page.read page 0 with Some b -> Bytes.to_string b | None -> ""
-
-let test_sharded_pool_single_domain_equivalence () =
-  (* same deterministic workload on 1-shard and 4-shard pools: final
-     durable content and hit/miss totals must agree (working set fits,
-     so no eviction-order divergence between shard layouts) *)
-  let run_workload pool =
-    for rel = 0 to 3 do
-      for block = 0 to 19 do
-        Bufpool.with_page pool ~rel ~block (fun page ->
-            fill_page page ~tag:((rel * 100) + block));
-        Bufpool.mark_dirty pool ~rel ~block
-      done
-    done;
-    Bufpool.flush_all pool ~sync:false;
-    (* revisit to generate hits *)
-    for rel = 0 to 3 do
-      for block = 0 to 19 do
-        Bufpool.with_page pool ~rel ~block (fun page ->
-            Alcotest.(check string)
-              "content" (Printf.sprintf "tag-%06d" ((rel * 100) + block))
-              (read_tag page))
-      done
-    done;
-    Bufpool.stats pool
-  in
-  let s1 = run_workload (mk_pool ~shards:1 ~capacity:128 ()) in
-  let s4 = run_workload (mk_pool ~shards:4 ~capacity:128 ()) in
-  checki "same misses" s1.Bufpool.misses s4.Bufpool.misses;
-  checki "same hits" s1.Bufpool.hits s4.Bufpool.hits;
-  checki "same flushes" s1.Bufpool.flushes s4.Bufpool.flushes
-
-let test_sharded_pool_shard_count_and_args () =
-  let p = mk_pool ~shards:4 () in
-  checki "shard_count" 4 (Bufpool.shard_count p);
-  check "rejects zero shards" true
-    (match mk_pool ~shards:0 () with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  check "rejects more shards than frames" true
-    (match mk_pool ~shards:128 ~capacity:8 () with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
-
-let test_sharded_pool_multidomain_reads () =
-  (* preload pages, then hammer read-only from several domains: every
-     read must see the exact image written; counters must add up *)
-  let pool = mk_pool ~shards:8 ~capacity:128 () in
-  let pages = 96 in
-  for block = 0 to pages - 1 do
-    Bufpool.with_page pool ~rel:0 ~block (fun page -> fill_page page ~tag:block);
-    Bufpool.mark_dirty pool ~rel:0 ~block
-  done;
-  Bufpool.flush_all pool ~sync:false;
-  let domains = 4 and rounds = 2_000 in
-  let results =
-    Domainpool.run ~domains (fun d ->
-        let rng = Rng.stream ~seed:11 ~stream:d in
-        let bad = ref 0 in
-        for _ = 1 to rounds do
-          let block = Rng.int rng pages in
-          Bufpool.with_page pool ~rel:0 ~block (fun page ->
-              if read_tag page <> Printf.sprintf "tag-%06d" block then incr bad)
-        done;
-        !bad)
-  in
-  checki "every domain read correct images" 0 (Array.fold_left ( + ) 0 results);
-  let s = Bufpool.stats pool in
-  check "counters account for every access" true
-    (s.Bufpool.hits + s.Bufpool.misses >= (domains * rounds) + pages)
-
-let test_sharded_pool_multidomain_disjoint_writes () =
-  (* each domain writes its own relation; all content must survive *)
-  let pool = mk_pool ~shards:8 ~capacity:256 () in
-  let domains = 4 and blocks = 40 in
-  let _ =
-    Domainpool.run ~domains (fun d ->
-        for block = 0 to blocks - 1 do
-          Bufpool.with_page pool ~rel:d ~block (fun page ->
-              fill_page page ~tag:((d * 1000) + block));
-          Bufpool.mark_dirty pool ~rel:d ~block
-        done;
-        0)
-  in
-  Bufpool.flush_all pool ~sync:false;
-  for d = 0 to domains - 1 do
-    for block = 0 to blocks - 1 do
-      Bufpool.with_page pool ~rel:d ~block (fun page ->
-          Alcotest.(check string)
-            "per-domain content intact"
-            (Printf.sprintf "tag-%06d" ((d * 1000) + block))
-            (read_tag page))
-    done
-  done
-
-(* ------------------------------------------------------------------ *)
-(* WAL insert slots *)
-
-let test_walslots_inline_order_and_grouping () =
-  let slots = Walslots.create ~slots:3 () in
-  let payload i = Bytes.of_string (Printf.sprintf "p%04d" i) in
-  for i = 0 to 29 do
-    let slot = i mod 3 in
-    let kind = if i mod 5 = 4 then Wal.Commit else Wal.Insert in
-    ignore (Walslots.append slots ~slot ~xid:i ~rel:slot ~kind ~payload:(payload i))
-  done;
-  let drained = Walslots.flush_batch slots in
-  checki "one inline batch drains everything" 30 drained;
-  Walslots.stop slots;
-  let st = Walslots.stats slots in
-  checki "all records appended" 30 st.Walslots.appended;
-  checki "commits counted" 6 st.Walslots.commits;
-  check "batching saved fsyncs" true (st.Walslots.commit_fsyncs < st.Walslots.commits);
-  (* per-slot order preserved in the log *)
-  let recs = Wal.records_from (Walslots.wal slots) ~lsn:1 in
-  let per_slot = Hashtbl.create 3 in
-  List.iter
-    (fun (r : Wal.record) ->
-      let prev = try Hashtbl.find per_slot r.Wal.rel with Not_found -> -1 in
-      check "slot order preserved" true (r.Wal.xid > prev);
-      Hashtbl.replace per_slot r.Wal.rel r.Wal.xid)
-    recs;
-  checki "log carries every record" 30 (List.length recs)
-
-let test_walslots_multidomain () =
-  let producers = 4 and per = 500 in
-  let slots = Walslots.create ~slots:producers () in
-  Walslots.start slots;
-  let _ =
-    Domainpool.run ~domains:producers (fun d ->
-        let last = ref None in
-        for i = 0 to per - 1 do
-          last :=
-            Some
-              (Walslots.append slots ~slot:d ~xid:((d * per) + i) ~rel:d
-                 ~kind:Wal.Commit
-                 ~payload:(Bytes.of_string (Printf.sprintf "%d:%d" d i)))
-        done;
-        (match !last with Some tk -> Walslots.wait_durable slots tk | None -> ());
-        0)
-  in
-  Walslots.stop slots;
-  let st = Walslots.stats slots in
-  checki "all commits logged" (producers * per) st.Walslots.appended;
-  check "flusher batched the stream" true
-    (st.Walslots.commit_fsyncs < st.Walslots.commits);
-  check "grouping saved fsyncs" true (st.Walslots.fsyncs_saved > 0);
-  (* per-slot order in the shared log *)
-  let recs = Wal.records_from (Walslots.wal slots) ~lsn:1 in
-  checki "log carries every record" (producers * per) (List.length recs);
-  let per_slot = Hashtbl.create 4 in
-  List.iter
-    (fun (r : Wal.record) ->
-      let prev = try Hashtbl.find per_slot r.Wal.rel with Not_found -> -1 in
-      check "per-slot order preserved in shared log" true (r.Wal.xid > prev);
-      Hashtbl.replace per_slot r.Wal.rel r.Wal.xid)
-    recs
-
-(* ------------------------------------------------------------------ *)
 (* Bus domain ownership *)
 
 let test_bus_owner_assertion () =
@@ -398,71 +218,195 @@ let test_bus_owner_assertion () =
            | () -> false
            | exception Failure _ -> true))
   in
-  check "cross-domain publish fails loudly" true failed;
-  Bus.set_shared bus;
-  let ok =
-    Domain.join
-      (Domain.spawn (fun () ->
-           match Bus.publish bus (Bus.Txn_commit { xid = 2 }) with
-           | () -> true
-           | exception _ -> false))
-  in
-  check "set_shared lifts the check" true ok
+  check "cross-domain publish fails loudly" true failed
 
 (* ------------------------------------------------------------------ *)
-(* Multicore TPC-C with the checker as oracle *)
+(* Sharded TPC-C with the checker as oracle *)
 
-let quick_mc ~engine ~domains ~seed =
-  let base =
-    {
-      (W.default_config ~warehouses:1) with
-      W.scale = S.scaled ~div:300 ();
-      duration_s = 8.0;
-      seed;
-    }
-  in
+let quick_setup ?(seed = 42) engine =
   {
-    (MC.default_config ~engine ~domains ~warehouses_per_domain:1) with
-    MC.base;
+    (E.default_setup ~engine ~warehouses:1) with
+    E.scale_div = 300;
+    duration_s = 8.0;
     buffer_pages = 512;
-    check = true;
+    seed;
+    check_si = true;
   }
 
+let checker_clean o = o.E.checker <> None && E.checker_failures o = 0
+
 let test_multicore_tpcc_smoke () =
-  let r = MC.run (quick_mc ~engine:"sias-v" ~domains:2 ~seed:7) in
-  checki "two shards" 2 (Array.length r.MC.shards);
-  checki "checker clean" 0 r.MC.violations;
-  check "work happened" true (r.MC.total_committed > 0);
+  let outs = E.run_shards ~domains:2 (quick_setup ~seed:7 "sias-v") in
+  checki "two shards" 2 (Array.length outs);
+  check "checker clean on every shard" true (Array.for_all checker_clean outs);
   check "every shard committed work" true
-    (Array.for_all (fun s -> s.MC.result.W.total_committed > 0) r.MC.shards);
+    (Array.for_all (fun o -> o.E.result.W.total_committed > 0) outs);
+  let a = E.aggregate outs in
+  checki "aggregate clean" 0 a.E.violations;
   check "aggregate notpm sums shards" true
     (let sum =
-       Array.fold_left (fun acc s -> acc +. s.MC.result.W.notpm) 0.0 r.MC.shards
+       Array.fold_left (fun acc o -> acc +. o.E.result.W.notpm) 0.0 outs
      in
-     abs_float (sum -. r.MC.agg_notpm) < 1e-6);
-  check "commit stream flowed through the slots" true
-    (r.MC.slots.Walslots.commits > 0);
-  check "wall window is positive" true (r.MC.wall_s > 0.0)
+     abs_float (sum -. a.E.agg_notpm) < 1e-6);
+  check "wall window is the slowest shard's" true
+    (a.E.wall_s > 0.0
+    && Array.for_all (fun o -> o.E.run_wall_s <= a.E.wall_s) outs)
 
 let test_multicore_tpcc_deterministic_per_shard () =
-  let a = MC.run (quick_mc ~engine:"si" ~domains:2 ~seed:21) in
-  let b = MC.run (quick_mc ~engine:"si" ~domains:2 ~seed:21) in
+  let a = E.run_shards ~domains:2 (quick_setup ~seed:21 "si") in
+  let b = E.run_shards ~domains:2 (quick_setup ~seed:21 "si") in
   Array.iteri
     (fun i sa ->
-      let sb = b.MC.shards.(i) in
-      checki "same committed" sa.MC.result.W.total_committed
-        sb.MC.result.W.total_committed;
-      checki "same aborted" sa.MC.result.W.total_aborted
-        sb.MC.result.W.total_aborted;
+      let sb = b.(i) in
+      checki "same committed" sa.E.result.W.total_committed
+        sb.E.result.W.total_committed;
+      checki "same aborted" sa.E.result.W.total_aborted
+        sb.E.result.W.total_aborted;
       Alcotest.(check (float 1e-9))
-        "same notpm" sa.MC.result.W.notpm sb.MC.result.W.notpm)
-    a.MC.shards;
+        "same notpm" sa.E.result.W.notpm sb.E.result.W.notpm)
+    a;
   (* the two shards run distinct seed-derived streams, so their shard
      results should not be mirror images of each other *)
   check "shards run distinct workload streams" true
-    (a.MC.shards.(0).MC.result.W.total_committed
-     <> a.MC.shards.(1).MC.result.W.total_committed
-    || a.MC.shards.(0).MC.result.W.notpm <> a.MC.shards.(1).MC.result.W.notpm)
+    (a.(0).E.result.W.total_committed <> a.(1).E.result.W.total_committed
+    || a.(0).E.result.W.notpm <> a.(1).E.result.W.notpm)
+
+(* Shard 0 keeps the seed: its report is the 1-domain report, byte for
+   byte, whatever runs beside it. *)
+let render o =
+  Format.asprintf "%a@.%a" E.pp_output_summary o W.pp_result o.E.result
+
+let test_shard0_identity engine () =
+  let setup = quick_setup engine in
+  let single = E.run_tpcc setup in
+  let sharded = E.run_shards ~domains:2 setup in
+  Alcotest.(check string)
+    "shard 0 renders the 1-domain report" (render single) (render sharded.(0));
+  check "shard 1 runs a different workload" true
+    (render sharded.(1) <> render sharded.(0))
+
+(* Flags the old multi-domain path rejected compose now: every shard
+   builds its database from the full setup, and [took_effect] checks the
+   flag reached it. *)
+let test_flag_composes name f ~took_effect () =
+  let outs = E.run_shards ~domains:2 (f (quick_setup "sias-v")) in
+  Array.iteri
+    (fun d o ->
+      check (Printf.sprintf "%s: shard %d checker clean" name d) true
+        (checker_clean o);
+      check (Printf.sprintf "%s: shard %d committed work" name d) true
+        (o.E.result.W.total_committed > 0);
+      check (Printf.sprintf "%s: shard %d took the flag" name d) true
+        (took_effect o))
+    outs
+
+let device_counter o name =
+  Option.value ~default:0.0 (List.assoc_opt name o.E.device_info)
+
+(* A small JSON recognizer (RFC 8259 grammar, no value construction),
+   enough to assert that an artifact parses. *)
+let json_parses text =
+  let n = String.length text and i = ref 0 in
+  let peek () = if !i < n then text.[!i] else '\000' in
+  let fail () = raise Exit in
+  let expect c = if peek () = c then incr i else fail () in
+  let rec ws () =
+    match peek () with ' ' | '\n' | '\r' | '\t' -> incr i; ws () | _ -> ()
+  in
+  let literal w =
+    if !i + String.length w <= n && String.sub text !i (String.length w) = w
+    then i := !i + String.length w
+    else fail ()
+  in
+  let string_ () =
+    expect '"';
+    while peek () <> '"' do
+      if !i >= n || Char.code (peek ()) < 0x20 then fail ();
+      if peek () = '\\' then incr i;
+      incr i
+    done;
+    incr i
+  in
+  let number () =
+    let start = !i in
+    while
+      match peek () with
+      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+      | _ -> false
+    do
+      incr i
+    done;
+    if Float.of_string_opt (String.sub text start (!i - start)) = None then fail ()
+  in
+  let rec value () =
+    ws ();
+    (match peek () with
+    | '{' -> members '}' (fun () -> string_ (); ws (); expect ':'; value ())
+    | '[' -> members ']' value
+    | '"' -> string_ ()
+    | 't' -> literal "true"
+    | 'f' -> literal "false"
+    | 'n' -> literal "null"
+    | _ -> number ());
+    ws ()
+  and members close item =
+    incr i;
+    ws ();
+    if peek () = close then incr i
+    else begin
+      let rec loop () =
+        ws ();
+        item ();
+        ws ();
+        if peek () = ',' then (incr i; loop ()) else expect close
+      in
+      loop ()
+    end
+  in
+  match value () with () -> !i = n | exception Exit -> false
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let test_per_shard_artifacts () =
+  let dir = Filename.temp_dir "sias_shards" "" in
+  let metrics = Filename.concat dir "m.prom"
+  and trace = Filename.concat dir "t.json" in
+  let setup =
+    { (quick_setup "sias") with E.metrics_out = Some metrics; trace_out = Some trace }
+  in
+  ignore (E.run_shards ~domains:2 setup);
+  check "no unsuffixed artifact" false
+    (Sys.file_exists metrics || Sys.file_exists trace);
+  let written = Sys.readdir dir in
+  checki "two artifacts per shard" 4 (Array.length written);
+  for d = 0 to 1 do
+    let prom = Filename.concat dir (Printf.sprintf "m.shard%d.prom" d)
+    and json = Filename.concat dir (Printf.sprintf "t.shard%d.json" d) in
+    let text = read_file json in
+    check (Printf.sprintf "shard %d trace parses as JSON" d) true
+      (json_parses text);
+    check (Printf.sprintf "shard %d trace has traceEvents" d) true
+      (contains text "\"traceEvents\"");
+    check
+      (Printf.sprintf "shard %d metrics carry the device write counter" d)
+      true
+      (List.exists
+         (fun l ->
+           String.starts_with
+             ~prefix:"sias_device_bytes_total{device=\"data-ssd\",op=\"write\"}" l)
+         (String.split_on_char '\n' (read_file prom)))
+  done;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) written;
+  Sys.rmdir dir
 
 let qcheck_multicore_torture =
   QCheck.Test.make ~name:"multicore tpcc: checker stays clean across configs"
@@ -470,10 +414,9 @@ let qcheck_multicore_torture =
     QCheck.(pair (int_range 1 3) (int_range 0 1000))
     (fun (domains, seed) ->
       let engine = List.nth [ "si"; "sias"; "sias-v" ] (seed mod 3) in
-      let cfg = quick_mc ~engine ~domains ~seed in
-      let cfg = { cfg with MC.base = { cfg.MC.base with W.duration_s = 4.0 } } in
-      let r = MC.run cfg in
-      r.MC.violations = 0 && Array.length r.MC.shards = domains)
+      let setup = { (quick_setup ~seed engine) with E.duration_s = 4.0 } in
+      let outs = E.run_shards ~domains setup in
+      Array.length outs = domains && Array.for_all checker_clean outs)
 
 let suite =
   [
@@ -490,22 +433,36 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_clog_matches_model;
     Alcotest.test_case "clog: lock-free readers see monotone log" `Quick
       test_clog_lockfree_readers;
-    Alcotest.test_case "bufpool: shards=4 equals shards=1 single-domain" `Quick
-      test_sharded_pool_single_domain_equivalence;
-    Alcotest.test_case "bufpool: shard arg validation" `Quick
-      test_sharded_pool_shard_count_and_args;
-    Alcotest.test_case "bufpool: multi-domain reads" `Quick
-      test_sharded_pool_multidomain_reads;
-    Alcotest.test_case "bufpool: multi-domain disjoint writes" `Quick
-      test_sharded_pool_multidomain_disjoint_writes;
-    Alcotest.test_case "walslots: inline order + grouping" `Quick
-      test_walslots_inline_order_and_grouping;
-    Alcotest.test_case "walslots: multi-domain producers" `Quick
-      test_walslots_multidomain;
     Alcotest.test_case "bus: owner-domain assertion" `Quick test_bus_owner_assertion;
     Alcotest.test_case "tpcc: 2-domain smoke, checker clean" `Slow
       test_multicore_tpcc_smoke;
     Alcotest.test_case "tpcc: per-shard determinism" `Slow
       test_multicore_tpcc_deterministic_per_shard;
+    Alcotest.test_case "tpcc: shard 0 = 1-domain run (si)" `Slow
+      (test_shard0_identity "si");
+    Alcotest.test_case "tpcc: shard 0 = 1-domain run (sias-v)" `Slow
+      (test_shard0_identity "sias-v");
+    Alcotest.test_case "tpcc: 2 domains with --index paged" `Slow
+      (test_flag_composes "paged"
+         (fun s ->
+           { s with E.index = "paged"; flush = E.T1; measure_index_io = true })
+         ~took_effect:(fun o ->
+           (* under T1 the bgwriter trickles paged-index pages out *)
+           match o.E.index_io with
+           | Some io -> io.E.ix_flush_count > 0
+           | None -> false));
+    Alcotest.test_case "tpcc: 2 domains with --faults" `Slow
+      (test_flag_composes "faults"
+         (fun s -> { s with E.fault_seed = Some 3 })
+         ~took_effect:(fun o -> device_counter o "fault_torn_writes" > 0.0));
+    Alcotest.test_case "tpcc: 2 domains with --repl remote-flush" `Slow
+      (test_flag_composes "repl"
+         (fun s -> { s with E.repl_mode = Some Sias_repl.Repl.Remote_flush })
+         ~took_effect:(fun o ->
+           match o.E.repl_stats with
+           | Some rs -> rs.Sias_repl.Repl.installed_records > 0
+           | None -> false));
+    Alcotest.test_case "tpcc: per-shard metrics and trace artifacts" `Slow
+      test_per_shard_artifacts;
     QCheck_alcotest.to_alcotest qcheck_multicore_torture;
   ]
