@@ -1010,7 +1010,8 @@ let micro_engine key (module E : Mvcc.Engine.S) =
   in
   (* paged B+Tree probes: the same hot paths routed through the
      WAL-logged slotted-page index instead of the in-memory array tree
-     (decode-on-access, buffer-pool pins, WAL-first inserts) *)
+     (nodes read in place on their pinned buffer-pool page, one pin per
+     node visited, WAL-first inserts) *)
   let db = Mvcc.Db.create ~buffer_pages:4096 ~index:`Paged () in
   let eng_p = E.create db in
   let paged = E.create_table eng_p ~name:"paged" ~pk_col:0 () in
@@ -1565,15 +1566,18 @@ let () =
     Option.iter (fun p -> Printf.printf "trace -> %s\n%!" p) !trace_out
   end;
   let chosen = match args with [] | [ "all" ] -> List.map fst experiments | l -> l in
+  (* every name is checked before anything runs: a typo must not cost a
+     long run of the names before it, nor pass as success *)
+  (match List.filter (fun name -> not (List.mem_assoc name experiments)) chosen with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "unknown experiment%s %s; available: %s\n"
+        (if List.length unknown > 1 then "s" else "")
+        (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
+        (String.concat ", " (List.map fst experiments));
+      exit 2);
   let t0 = Sias_util.Monotime.now () in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f -> f ()
-      | None ->
-          Printf.printf "unknown experiment %S; available: %s\n" name
-            (String.concat ", " (List.map fst experiments)))
-    chosen;
+  List.iter (fun name -> (List.assoc name experiments) ()) chosen;
   let wall_s = Sias_util.Monotime.elapsed_since t0 in
   Printf.printf "\n(total wall time %.1f s%s)\n" wall_s
     (if !full then ", full mode" else ", quick mode; pass --full for paper-scale parameters");

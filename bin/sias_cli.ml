@@ -204,7 +204,9 @@ let stats_interval_arg =
     value
     & opt (some float) None
     & info [ "stats-interval" ]
-        ~doc:"Print a progress line to stderr every $(docv) simulated seconds."
+        ~doc:
+          "Print a progress line to stderr every $(docv) simulated seconds. \
+           With $(b,--domains) N > 1 each shard's lines carry $(b,shard) d."
         ~docv:"SECONDS")
 
 let onoff_conv =

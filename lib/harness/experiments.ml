@@ -172,9 +172,12 @@ let isolation_level key : Mvcc.Isolation.level =
            (Mvcc.Isolation.known_keys_hint ()))
 
 (* Periodic progress line on stderr, driven by simulated time: every
-   event is a chance to notice the sim clock crossed the next tick. *)
-let attach_stats_ticker bus ~clock ~metrics ~interval =
+   event is a chance to notice the sim clock crossed the next tick. A
+   shard of a multi-domain run labels its lines; each line goes out in
+   one write, so shards' lines interleave whole. *)
+let attach_stats_ticker bus ~shard ~clock ~metrics ~interval =
   let next = ref interval in
+  let label = match shard with None -> "" | Some d -> Printf.sprintf "shard %d " d in
   let metric name labels =
     match Metrics.value metrics ~labels name with Some v -> v | None -> 0.0
   in
@@ -184,13 +187,15 @@ let attach_stats_ticker bus ~clock ~metrics ~interval =
         while now >= !next do
           next := !next +. interval
         done;
-        Printf.eprintf
-          "[sim %8.2fs] commits=%.0f aborts=%.0f retries=%.0f wal-MB=%.2f\n%!"
-          now
-          (metric "sias_txn_total" [ ("event", "commit") ])
-          (metric "sias_txn_total" [ ("event", "abort") ])
-          (metric "sias_txn_total" [ ("event", "retry") ])
-          (metric "sias_wal_bytes_total" [] /. (1024.0 *. 1024.0))
+        prerr_string
+          (Printf.sprintf
+             "[sim %8.2fs] %scommits=%.0f aborts=%.0f retries=%.0f wal-MB=%.2f\n"
+             now label
+             (metric "sias_txn_total" [ ("event", "commit") ])
+             (metric "sias_txn_total" [ ("event", "abort") ])
+             (metric "sias_txn_total" [ ("event", "retry") ])
+             (metric "sias_wal_bytes_total" [] /. (1024.0 *. 1024.0)));
+        flush stderr
       end)
 
 let write_text_file path contents =
@@ -227,7 +232,8 @@ let apply_overrides setup =
   in
   setup
 
-let run_tpcc setup =
+(* [shard] is [Some d] only for shard [d] of a multi-domain run. *)
+let run_shard ~shard setup =
   let setup = apply_overrides setup in
   let (module E : Mvcc.Engine.S) = engine_module setup.engine in
   let module WE = W.Make (E) in
@@ -286,7 +292,7 @@ let run_tpcc setup =
   in
   (match (setup.stats_interval_s, metrics) with
   | Some interval, Some m ->
-      attach_stats_ticker bus ~clock:db.Db.clock ~metrics:m ~interval
+      attach_stats_ticker bus ~shard ~clock:db.Db.clock ~metrics:m ~interval
   | _ -> ());
   let eng = E.create db in
   let tables = WE.create_tables eng in
@@ -508,6 +514,8 @@ let run_tpcc setup =
     run_wall_s;
   }
 
+let run_tpcc setup = run_shard ~shard:None setup
+
 (* Shard [d] of an N-domain run writes its artifacts next to the path
    the user gave: [m.prom] becomes [m.shard1.prom]. *)
 let shard_path d path =
@@ -537,7 +545,8 @@ let run_shards ~domains setup =
     }
   in
   let setups = Array.init domains shard_setup in
-  Sias_util.Domainpool.run ~domains (fun d -> run_tpcc setups.(d))
+  Sias_util.Domainpool.run ~domains (fun d ->
+      run_shard ~shard:(if domains = 1 then None else Some d) setups.(d))
 
 let pp_output_summary fmt o =
   Format.fprintf fmt

@@ -178,7 +178,8 @@ val run_shards : domains:int -> setup -> output array
     is exactly the single-domain run's; shard [d >= 1] runs on a seed
     drawn from {!Sias_util.Rng.stream} [~stream:d]. With [domains > 1],
     shard [d] writes [metrics_out] / [trace_out] to
-    [<base>.shard<d><ext>]. [domains = 1] runs inline and is
+    [<base>.shard<d><ext>] and labels its [stats_interval_s] progress
+    lines on stderr [shard d]. [domains = 1] runs inline and is
     [[| run_tpcc setup |]]. *)
 
 val pp_output_summary : Format.formatter -> output -> unit

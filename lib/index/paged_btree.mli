@@ -9,10 +9,12 @@
     parent pointers), prefix-truncated keys in internal nodes, and
     {e every} structural change — insert, split, delete, merge — logged
     write-ahead as an atomic batch of per-page slot deltas and replayed
-    byte-exact by recovery. Nodes are decoded from their buffer-pool
-    page on every access: under buffer pressure index descents incur
-    real page misses, evictions and device reads, which is the point —
-    index maintenance and lookup traffic become first-class flash
+    byte-exact by recovery. There is no node cache: every visit pins
+    the node's buffer-pool page once and reads it in place (no copy,
+    no decode, no sort; slots stay in insertion order and are scanned).
+    Under buffer pressure index descents therefore incur real page
+    misses, evictions and device reads, which is the point — index
+    maintenance and lookup traffic become first-class flash
     measurements.
 
     Layering: this library cannot see the WAL or {!Mvcc.Db}, so the
@@ -88,4 +90,15 @@ type stats = { inserts : int; deletes : int; splits : int; merges : int; lookups
 val stats : t -> stats
 
 val iter : t -> (int -> int -> unit) -> unit
-(** All entries in (key, payload) order via the leftmost-leaf chain. *)
+(** All entries in (key, payload) order via the leftmost-leaf chain.
+    The chain is read first; [f] runs after the last page is released. *)
+
+val check_invariants : t -> unit
+(** Structural check for tests; raises [Failure] naming the first
+    violation. The metadata page matches the handle; every node sits at
+    the level its parent implies; (key, payload) pairs are unique within
+    every node (the in-place scans rely on it); every pair lies between
+    its parent separator and the next one and below its node's high
+    key; the leaf chain visits the tree's leaves in order, ascends, and
+    holds exactly {!entry_count} entries. Reads through
+    {!Sias_storage.Bufpool.with_page_ro}. *)

@@ -73,6 +73,11 @@ let is_live t i =
 
 let read t i = if is_live t i then Some (Bytes.sub t.buf (slot_off t i) (slot_len t i)) else None
 
+let item_off t i = if is_live t i then slot_off t i else -1
+let get_uint8 t off = Bytes.get_uint8 t.buf off
+let get_int32_le t off = Int32.to_int (Bytes.get_int32_le t.buf off)
+let get_int64_le t off = Int64.to_int (Bytes.get_int64_le t.buf off)
+
 let live_bytes t =
   let total = ref 0 in
   for i = 0 to nslots t - 1 do

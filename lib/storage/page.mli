@@ -25,6 +25,20 @@ val read : t -> int -> bytes option
 (** Item bytes of a live slot; [None] for dead, unused or out-of-range
     slots. The returned bytes are a copy. *)
 
+val item_off : t -> int -> int
+(** Byte offset of a live slot's item within the page, or [-1] for dead,
+    unused or out-of-range slots: the non-copying counterpart of {!read}.
+    The offset is valid only until the page is next mutated, and the
+    getters below read the page where it sits, so a caller must hold the
+    page (e.g. inside {!Bufpool.with_page}) for as long as it reads. *)
+
+val get_uint8 : t -> int -> int
+val get_int32_le : t -> int -> int
+(** Sign-extended. *)
+
+val get_int64_le : t -> int -> int
+(** Truncated to [int], like [Int64.to_int]. *)
+
 val update : t -> int -> bytes -> bool
 (** [update p slot item] overwrites the item in place when the new value
     is not longer than the currently stored one (the slot keeps its

@@ -235,6 +235,57 @@ let quick_setup ?(seed = 42) engine =
 
 let checker_clean o = o.E.checker <> None && E.checker_failures o = 0
 
+(* Run [f] with file descriptor 2 redirected to a temporary file;
+   return its result and everything written to stderr meanwhile. *)
+let capture_stderr f =
+  let path = Filename.temp_file "sias_stderr" ".txt" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  flush stderr;
+  let saved = Unix.dup Unix.stderr in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      f
+  in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  (r, text)
+
+let progress_lines text =
+  String.split_on_char '\n' text
+  |> List.filter (fun l -> String.length l > 5 && String.sub l 0 5 = "[sim ")
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* --stats-interval: each shard of a 2-domain run labels its progress
+   lines, and both shards print; a 1-domain run keeps the unlabelled
+   format. *)
+let test_shard_progress_lines () =
+  let setup = { (quick_setup "si") with E.stats_interval_s = Some 2.0; check_si = false } in
+  let _, two = capture_stderr (fun () -> E.run_shards ~domains:2 setup) in
+  let lines = progress_lines two in
+  List.iter
+    (fun d ->
+      check
+        (Printf.sprintf "shard %d printed progress" d)
+        true
+        (List.exists (fun l -> contains l (Printf.sprintf "s] shard %d commits=" d)) lines))
+    [ 0; 1 ];
+  check "every 2-domain line is labelled" true
+    (lines <> [] && List.for_all (fun l -> contains l "s] shard ") lines);
+  let _, one = capture_stderr (fun () -> E.run_shards ~domains:1 setup) in
+  let lines = progress_lines one in
+  check "1-domain lines unlabelled" true
+    (lines <> [] && List.for_all (fun l -> contains l "s] commits=") lines)
+
 let test_multicore_tpcc_smoke () =
   let outs = E.run_shards ~domains:2 (quick_setup ~seed:7 "sias-v") in
   checki "two shards" 2 (Array.length outs);
@@ -464,5 +515,6 @@ let suite =
            | None -> false));
     Alcotest.test_case "tpcc: per-shard metrics and trace artifacts" `Slow
       test_per_shard_artifacts;
+    Alcotest.test_case "tpcc: per-shard progress lines" `Slow test_shard_progress_lines;
     QCheck_alcotest.to_alcotest qcheck_multicore_torture;
   ]

@@ -229,53 +229,149 @@ let test_crash_points () =
 
 (* ---------------- QCheck: model + crash recovery ---------------- *)
 
+type op =
+  | Ins of int * int
+  | Del of int * int
+  | Move of int * int  (** update: move (k, p) to payload p + 1 *)
+  | Drop of int * int  (** delete every entry with lo <= key <= hi *)
+  | Lookup of int
+  | Mem of int * int
+  | Range of int * int
+
+let pp_op = function
+  | Ins (k, p) -> Printf.sprintf "Ins(%d,%d)" k p
+  | Del (k, p) -> Printf.sprintf "Del(%d,%d)" k p
+  | Move (k, p) -> Printf.sprintf "Move(%d,%d)" k p
+  | Drop (lo, hi) -> Printf.sprintf "Drop(%d..%d)" lo hi
+  | Lookup k -> Printf.sprintf "Lookup %d" k
+  | Mem (k, p) -> Printf.sprintf "Mem(%d,%d)" k p
+  | Range (lo, hi) -> Printf.sprintf "Range(%d..%d)" lo hi
+
+(* Keys in [0, 1000), payloads in [0, 4): up to 4000 pairs, so a few
+   hundred inserts already split the root leaf. *)
+let gen_op =
+  QCheck.Gen.(
+    let key = int_bound 999 and pay = int_bound 3 in
+    let span = map2 (fun lo w -> (lo, lo + w)) (int_range (-20) 999) (int_bound 400) in
+    frequency
+      [
+        (6, map2 (fun k p -> Ins (k, p)) key pay);
+        (2, map2 (fun k p -> Del (k, p)) key pay);
+        (2, map2 (fun k p -> Move (k, p)) key pay);
+        (1, map (fun (lo, hi) -> Drop (lo, hi)) span);
+        (2, map (fun k -> Lookup k) key);
+        (2, map2 (fun k p -> Mem (k, p)) key pay);
+        (2, map (fun (lo, hi) -> Range (lo, hi)) span);
+      ])
+
+(* A bulk of inserts, mostly enough to make the tree two or more levels
+   high, then a mixed tail whose range deletes empty whole leaves
+   (merges) and can drain a two-leaf root (root collapse). *)
+let gen_history =
+  QCheck.Gen.(
+    map2 ( @ )
+      (list_size (int_range 0 1500) (map2 (fun k p -> Ins (k, p)) (int_bound 999) (int_bound 3)))
+      (list_size (int_range 50 400) gen_op))
+
+module Pairs = Set.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+type history_stats = { max_height : int; merges : int; collapses : int }
+
+(* Run [ops] against the tree and a set model. Every probe is checked
+   against the model as it runs; at the end the whole content, a set of
+   probes and the structure are checked before and after a crash and
+   redo. Returns [None] on agreement, [Some why] otherwise. *)
+let run_history ?(buffer_pages = 256) ops =
+  let db, rel, t = mk ~buffer_pages () in
+  let model = ref Pairs.empty in
+  let max_height = ref 1 and collapses = ref 0 in
+  let failure = ref None in
+  let expect what ok = if (not ok) && !failure = None then failure := Some what in
+  let in_range lo hi = Pairs.filter (fun (k, _) -> k >= lo && k <= hi) !model |> Pairs.elements in
+  let remove k p =
+    let h = Pbt.height t in
+    let present = Pairs.mem (k, p) !model in
+    expect (Printf.sprintf "delete (%d,%d) result" k p) (Pbt.delete t ~key:k ~payload:p = present);
+    model := Pairs.remove (k, p) !model;
+    if Pbt.height t < h then incr collapses
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Ins (k, p) ->
+          Pbt.insert t ~key:k ~payload:p;
+          model := Pairs.add (k, p) !model
+      | Del (k, p) -> remove k p
+      | Move (k, p) ->
+          if Pairs.mem (k, p) !model then begin
+            remove k p;
+            Pbt.insert t ~key:k ~payload:(p + 1);
+            model := Pairs.add (k, p + 1) !model
+          end
+      | Drop (lo, hi) -> List.iter (fun (k, p) -> remove k p) (in_range lo hi)
+      | Lookup k -> expect (pp_op op) (Pbt.lookup t ~key:k = List.map snd (in_range k k))
+      | Mem (k, p) -> expect (pp_op op) (Pbt.mem t ~key:k ~payload:p = Pairs.mem (k, p) !model)
+      | Range (lo, hi) -> expect (pp_op op) (Pbt.range t ~lo ~hi = in_range lo hi));
+      max_height := max !max_height (Pbt.height t))
+    ops;
+  let verify name t =
+    let expected = Pairs.elements !model in
+    expect (name ^ ": entries") (entries t = expected);
+    expect (name ^ ": entry_count") (Pbt.entry_count t = List.length expected);
+    List.iter
+      (fun (lo, hi) ->
+        expect
+          (Printf.sprintf "%s: range %d..%d" name lo hi)
+          (Pbt.range t ~lo ~hi = in_range lo hi))
+      [ (10, 60); (-5, 3); (500, 500); (990, 2000); (min_int, max_int) ];
+    Pairs.iter
+      (fun (k, p) ->
+        expect (Printf.sprintf "%s: mem (%d,%d)" name k p) (Pbt.mem t ~key:k ~payload:p))
+      !model;
+    match Pbt.check_invariants t with
+    | () -> ()
+    | exception Failure why -> expect (name ^ ": " ^ why) false
+  in
+  verify "live" t;
+  (* crash, replay, restore: same answers from the replayed pages *)
+  Wal.flush db.Db.wal ~sync:true;
+  Db.crash db;
+  Walcodec.redo db ~since_lsn:0;
+  verify "recovered" (Walcodec.restore_index db ~rel);
+  ( !failure,
+    { max_height = !max_height; merges = (Pbt.stats t).Pbt.merges; collapses = !collapses } )
+
 let qcheck_paged_model =
-  QCheck.Test.make ~name:"paged btree equals sorted model across a crash"
-    ~count:15
-    QCheck.(
-      list_of_size
-        Gen.(int_range 1 300)
-        (pair (int_bound 100) (pair (int_bound 20) (int_bound 3))))
+  QCheck.Test.make ~name:"paged btree equals sorted model across a crash" ~count:25
+    (QCheck.make ~print:(QCheck.Print.list pp_op) ~shrink:QCheck.Shrink.list gen_history)
     (fun ops ->
-      let db, rel, t = mk () in
-      let model = Hashtbl.create 64 in
-      List.iter
-        (fun (k, (p, op)) ->
-          match op with
-          | 0 | 1 ->
-              Pbt.insert t ~key:k ~payload:p;
-              Hashtbl.replace model (k, p) ()
-          | 2 ->
-              ignore (Pbt.delete t ~key:k ~payload:p);
-              Hashtbl.remove model (k, p)
-          | _ ->
-              (* update: move the entry to payload p+1 *)
-              if Hashtbl.mem model (k, p) then begin
-                ignore (Pbt.delete t ~key:k ~payload:p);
-                Hashtbl.remove model (k, p);
-                Pbt.insert t ~key:k ~payload:(p + 1);
-                Hashtbl.replace model (k, p + 1) ()
-              end)
-        ops;
-      let expected =
-        Hashtbl.fold (fun kp () acc -> kp :: acc) model [] |> List.sort compare
-      in
-      let range_expected lo hi =
-        List.filter (fun (k, _) -> k >= lo && k <= hi) expected
-      in
-      let live_ok =
-        entries t = expected
-        && Pbt.range t ~lo:10 ~hi:60 = range_expected 10 60
-      in
-      (* crash, replay, restore: same answers from the replayed pages *)
-      Wal.flush db.Db.wal ~sync:true;
-      Db.crash db;
-      Walcodec.redo db ~since_lsn:0;
-      let t' = Walcodec.restore_index db ~rel in
-      live_ok
-      && entries t' = expected
-      && Pbt.range t' ~lo:10 ~hi:60 = range_expected 10 60
-      && Pbt.entry_count t' = List.length expected)
+      match run_history ops with
+      | None, _ -> true
+      | Some why, _ -> QCheck.Test.fail_report why)
+
+(* The shapes the property is meant to reach, reached on purpose: two
+   levels, leaf merges, and a root that collapses back onto a leaf —
+   under a pool small enough that nodes are evicted and read back. *)
+let test_model_shapes () =
+  let ins lo hi = List.init (hi - lo + 1) (fun i -> Ins (lo + i, 0)) in
+  let ops =
+    ins 0 449
+    @ [ Range (100, 320); Drop (300, 449); Lookup 299; Mem (300, 0); Range (250, 400) ]
+    @ ins 1000 1999
+    @ [ Drop (1000, 1999); Range (0, 5000); Drop (0, 299); Ins (7, 1); Lookup 7 ]
+  in
+  List.iter
+    (fun buffer_pages ->
+      let failure, st = run_history ~buffer_pages ops in
+      (match failure with Some why -> Alcotest.fail why | None -> ());
+      check "height >= 2 reached" true (st.max_height >= 2);
+      check "leaves merged" true (st.merges > 0);
+      check "root collapsed" true (st.collapses > 0))
+    [ 256; 8 ]
 
 (* ---------------- array-vs-paged engine equivalence ---------------- *)
 
@@ -368,6 +464,8 @@ let suite =
     Alcotest.test_case "index crash points recover to flushed prefix" `Quick
       test_crash_points;
     QCheck_alcotest.to_alcotest qcheck_paged_model;
+    Alcotest.test_case "model reaches height 2, merges and root collapse" `Quick
+      test_model_shapes;
     Alcotest.test_case "si: array vs paged equivalence" `Quick (engine_equiv "si");
     Alcotest.test_case "si-cv: array vs paged equivalence" `Quick
       (engine_equiv "si-cv");
