@@ -16,13 +16,12 @@ bench:
 	dune exec bench/main.exe
 
 # Wall-clock microbenchmarks over the engine hot paths (point read,
-# scan, update, visibility-heavy scan, TPC-C NOTPM) with a
-# machine-readable summary. Pass BASELINE=path/to/old.json to print
-# speedups against a previously recorded run.
+# scan, update, visibility-heavy scan, paged B+Tree probes, the bare
+# isVisible predicate), written as wall rows to _obs/BENCH_micro.json.
+# Same-host A/B comparisons go through perfbench/run.py.
 micro:
 	mkdir -p _obs
-	dune exec bench/main.exe -- micro --bench-out _obs/BENCH_5.json \
-	  $(if $(BASELINE),--bench-baseline $(BASELINE),)
+	dune exec bench/main.exe -- micro --bench-out _obs/BENCH_micro.json
 
 # Simulated results are part of the model: the default-seed run of every
 # engine x isolation level must reproduce the committed golden output
@@ -96,15 +95,21 @@ obs:
 
 # Commit-pipeline ablation: every engine under per-commit fsync, group
 # commit and async commit. Going sync -> group -> async, commit-path
-# fsyncs must fall and throughput must not regress.
+# fsyncs must fall and throughput must not regress (the bench exits
+# non-zero otherwise). The chapter's simulated rows must match
+# test/golden/bench_groupcommit.txt line for line.
 groupcommit:
 	mkdir -p _obs
-	dune exec bench/main.exe -- groupcommit | tee _obs/groupcommit.txt
+	dune exec bench/main.exe -- groupcommit --bench-out _obs/BENCH_groupcommit.json \
+	  > _obs/groupcommit.txt; status=$$?; cat _obs/groupcommit.txt; exit $$status
+	grep -o '{.*"kind": "sim".*}' _obs/BENCH_groupcommit.json > _obs/bench_groupcommit.txt
+	diff -u test/golden/bench_groupcommit.txt _obs/bench_groupcommit.txt
 
 # Replication smoke: forced failover (load, partition, crash the
 # primary, promote the standby, verify) on every engine, one remote-flush
 # run over a lossy link, then the WAL-shipping lag-vs-commit-delay
-# ablation with a machine-readable artifact.
+# ablation with a machine-readable artifact, whose simulated rows must
+# match test/golden/bench_repl.txt line for line.
 repl:
 	mkdir -p _obs
 	for e in si si-cv sias sias-v; do \
@@ -114,17 +119,22 @@ repl:
 	dune exec bin/sias_cli.exe -- run -e sias-v -w 2 -d 10 --scale-div 300 \
 	  --repl remote-flush --repl-link lossy
 	dune exec bench/main.exe -- repl --bench-out _obs/BENCH_repl.json \
-	  | tee _obs/repl.txt
+	  > _obs/repl.txt; status=$$?; cat _obs/repl.txt; exit $$status
+	grep -o '{.*"kind": "sim".*}' _obs/BENCH_repl.json > _obs/bench_repl.txt
+	diff -u test/golden/bench_repl.txt _obs/bench_repl.txt
 
 # Isolation smoke: the si/ssi/wsi ablation across all four engines (the
 # bench exits non-zero unless si shows write-skew anomalies and the
 # serializable levels show none), the write-skew example, and a chaos
 # run at --isolation ssi (volatile SIREAD/abort state must not survive a
-# crash). BENCH_isolation.json records the per-engine overhead delta.
+# crash). BENCH_isolation.json records the per-engine overhead delta;
+# its simulated rows must match test/golden/bench_isolation.txt.
 isolation:
 	mkdir -p _obs
 	dune exec bench/main.exe -- isolation --bench-out _obs/BENCH_isolation.json \
-	  | tee _obs/isolation.txt
+	  > _obs/isolation.txt; status=$$?; cat _obs/isolation.txt; exit $$status
+	grep -o '{.*"kind": "sim".*}' _obs/BENCH_isolation.json > _obs/bench_isolation.txt
+	diff -u test/golden/bench_isolation.txt _obs/bench_isolation.txt
 	dune exec examples/serializable.exe
 	dune exec bin/sias_cli.exe -- chaos --isolation ssi
 
@@ -145,7 +155,9 @@ chaos:
 # B+Tree for each engine (array is the default and stays on the golden
 # path), the paged-index crash schedules, and the index
 # write-amplification bench chapter (BENCH_index.json: per-engine index
-# vs heap device writes under buffer pressure).
+# vs heap device writes under buffer pressure; the bench exits non-zero
+# if SIAS/SIAS-V write more than SI, and its simulated rows must match
+# test/golden/bench_index.txt).
 index:
 	mkdir -p _obs
 	for e in si si-cv sias sias-v; do \
@@ -156,6 +168,8 @@ index:
 	dune exec bin/sias_cli.exe -- chaos --index paged --engines sias,sias-v \
 	  --modes sync --budget 40 --oos false
 	dune exec bench/main.exe -- index --bench-out _obs/BENCH_index.json
+	grep -o '{.*"kind": "sim".*}' _obs/BENCH_index.json > _obs/bench_index.txt
+	diff -u test/golden/bench_index.txt _obs/bench_index.txt
 	@echo "index OK: _obs/BENCH_index.json"
 
 clean:

@@ -18,28 +18,40 @@ module B = Flashsim.Blocktrace
 
 let full = ref false
 
-(* --bench-out / --bench-baseline: machine-readable results (BENCH_5.json) *)
+(* --bench-out: write every row the run recorded as JSON *)
 let bench_out : string option ref = ref None
-let bench_baseline : string option ref = ref None
 
-(* per-engine (metric, value) rows collected by the micro bench *)
-let micro_results : (string * (string * float) list) list ref = ref []
+(* ------------------------------------------------------------------ *)
+(* Results and gates                                                    *)
 
-(* per-configuration (metric, value) rows collected by the repl bench *)
-let repl_results : (string * (string * float) list) list ref = ref []
+(* Every number a chapter reports is one row. [Sim] rows are simulated
+   time and deterministic per seed (test/golden/bench_<chapter>.txt pins
+   them); [Wall] rows are host wall clock and vary from run to run. *)
+type kind = Sim | Wall
 
-(* per engine/level (metric, value) rows collected by the isolation bench *)
-let isolation_results : (string * (string * float) list) list ref = ref []
+type row = {
+  chapter : string;
+  key : string;
+  metric : string;
+  unit : string;
+  kind : kind;
+  value : float;
+}
 
-(* per engine/configuration (metric, value) rows from the index bench;
-   gate failures accumulate so the process can exit non-zero at the end *)
-let index_results : (string * (string * float) list) list ref = ref []
-let index_gate_failures = ref 0
+(* the experiment now running: its rows and gates carry its name *)
+let chapter = ref ""
+let rows : row list ref = ref []
+let gate_failures : (string * string) list ref = ref []
 
-(* per engine/domain-count (metric, value) rows from the multicore bench;
-   violations accumulate so the process can exit non-zero at the end *)
-let multicore_results : (string * (string * float) list) list ref = ref []
-let multicore_violations = ref 0
+let record ?(kind = Sim) key fields =
+  List.iter
+    (fun (metric, unit, value) ->
+      rows := { chapter = !chapter; key; metric; unit; kind; value } :: !rows)
+    fields
+
+(* A gate that does not hold fails the bench; every failure is printed
+   once all chapters ran and the results file is written. *)
+let gate ok msg = if not ok then gate_failures := (!chapter, msg) :: !gate_failures
 
 let section title =
   Printf.printf "\n============================================================\n";
@@ -76,6 +88,16 @@ let table1 () =
       let t1 = cell "sias" T1 in
       let t2 = cell "sias" T2 in
       spaces := (duration_s, si, t1, t2) :: !spaces;
+      List.iter
+        (fun (label, o) ->
+          record (Printf.sprintf "%s/%gs" label duration_s)
+            [ ("write_mb", "MB", o.run_write_mb); ("space_mb", "MB", o.space_mb) ])
+        [ ("si", si); ("sias-t1", t1); ("sias-t2", t2) ];
+      (* the paper's headline: both SIAS thresholds write less than SI *)
+      gate
+        (t1.run_write_mb < si.run_write_mb && t2.run_write_mb < si.run_write_mb)
+        (Printf.sprintf "%gs: SIAS-t1 %.1f MB and SIAS-t2 %.1f MB must write less than SI %.1f MB"
+           duration_s t1.run_write_mb t2.run_write_mb si.run_write_mb);
       let red x = 1.0 -. (x.run_write_mb /. si.run_write_mb) in
       T.add_row tbl
         [
@@ -445,12 +467,22 @@ let ablation_contention () =
           let r = o.result in
           let sum get = List.fold_left (fun t (_, ks) -> t + get ks) 0 r.W.per_kind in
           let cs = o.contention_stats in
+          let violations =
+            Option.fold ~none:0 ~some:Mvcc.Sichecker.violation_count o.checker
+          in
+          let key = engine ^ "/" ^ C.policy_to_string policy in
+          record key
+            [
+              ("notpm", "1/min", r.W.notpm);
+              ("conflicts", "count", float_of_int (sum (fun ks -> ks.W.conflicts)));
+              ("retries", "count", float_of_int (sum (fun ks -> ks.W.retries)));
+              ("victim_aborts", "count", float_of_int cs.C.victim_aborts);
+              ("si_violations", "count", float_of_int violations);
+            ];
+          gate (violations = 0)
+            (Printf.sprintf "%s: %d SI checker violations" key violations);
           let verdict =
-            match o.checker with
-            | Some c when Mvcc.Sichecker.violation_count c = 0 -> "OK"
-            | Some c ->
-                Printf.sprintf "%d VIOLATIONS" (Mvcc.Sichecker.violation_count c)
-            | None -> "-"
+            if violations = 0 then "OK" else Printf.sprintf "%d VIOLATIONS" violations
           in
           T.add_row tbl
             [
@@ -473,6 +505,7 @@ let ablation_contention () =
 let ablation_groupcommit () =
   section
     "Commit pipeline: sync vs group vs async -- TPC-C 1 WH, WAL on its own SSD";
+  let module CP = Sias_wal.Commitpipe in
   let modes =
     [ ("sync", true, 0.0); ("group", true, 0.0007); ("async", false, 0.0) ]
   in
@@ -488,41 +521,60 @@ let ablation_groupcommit () =
     (fun engine ->
       List.iter
         (fun terminals ->
-          List.iter
-            (fun (label, sync_commit, delay) ->
-              let o =
-                run_tpcc
-                  {
-                    (default_setup ~engine ~warehouses:1) with
-                    duration_s = 30.0;
-                    buffer_pages = 4096;
-                    scale_div = 300;
-                    terminals_per_warehouse = terminals;
-                    (* saturation regime: terminals pile up inside the
-                       commit window, so sharing the fsync pays *)
-                    think_time_s = 0.005;
-                    gc_interval_s = Some 30.0;
-                    synchronous_commit = sync_commit;
-                    commit_delay_s = delay;
-                    wal_device = Some Ssd_single;
-                  }
-              in
-              let cs = o.commit_stats in
-              T.add_row tbl
-                [
-                  engine_name engine;
-                  string_of_int terminals;
-                  label;
-                  T.fmt_float ~decimals:0 o.result.W.notpm;
-                  T.fmt_float ~decimals:2
-                    (1000.0 *. W.resp_mean o.result W.New_order);
-                  string_of_int cs.Sias_wal.Commitpipe.commit_fsyncs;
-                  string_of_int cs.Sias_wal.Commitpipe.fsyncs_saved;
-                  string_of_int cs.Sias_wal.Commitpipe.max_group;
-                  string_of_int cs.Sias_wal.Commitpipe.walwriter_flushes;
-                  T.fmt_float ~decimals:1 o.wal_write_mb;
-                ])
-            modes)
+          let cells =
+            List.map
+              (fun (label, sync_commit, delay) ->
+                let o =
+                  run_tpcc
+                    {
+                      (default_setup ~engine ~warehouses:1) with
+                      duration_s = 30.0;
+                      buffer_pages = 4096;
+                      scale_div = 300;
+                      terminals_per_warehouse = terminals;
+                      (* saturation regime: terminals pile up inside the
+                         commit window, so sharing the fsync pays *)
+                      think_time_s = 0.005;
+                      gc_interval_s = Some 30.0;
+                      synchronous_commit = sync_commit;
+                      commit_delay_s = delay;
+                      wal_device = Some Ssd_single;
+                    }
+                in
+                let cs = o.commit_stats in
+                let fields =
+                  [
+                    ("notpm", "1/min", o.result.W.notpm);
+                    ("new_order_resp_ms", "sim_ms", 1000.0 *. W.resp_mean o.result W.New_order);
+                    ("commit_fsyncs", "count", float_of_int cs.CP.commit_fsyncs);
+                    ("fsyncs_saved", "count", float_of_int cs.CP.fsyncs_saved);
+                    ("max_group", "count", float_of_int cs.CP.max_group);
+                    ("walwriter_flushes", "count", float_of_int cs.CP.walwriter_flushes);
+                    ("wal_write_mb", "MB", o.wal_write_mb);
+                  ]
+                in
+                T.add_row tbl
+                  (engine_name engine :: string_of_int terminals :: label
+                  :: List.map2
+                       (fun (_, _, v) decimals -> T.fmt_float ~decimals v)
+                       fields [ 0; 2; 0; 0; 0; 0; 1 ]);
+                record (Printf.sprintf "%s/t%d/%s" engine terminals label) fields;
+                (cs.CP.commit_fsyncs, o.result.W.notpm))
+              modes
+          in
+          (* going sync -> group -> async, commit-path fsyncs fall to zero
+             and throughput does not regress (a --commit-delay or
+             --synchronous-commit override rewrites the sync cell) *)
+          match cells with
+          | [ (fs, ns); (fg, ng); (fa, na) ] when !commit_override = None ->
+              let cell = Printf.sprintf "%s/t%d" engine terminals in
+              gate (fs > fg && fg > fa && fa = 0)
+                (Printf.sprintf "%s: commit fsyncs must fall sync > group > async = 0, got %d, %d, %d"
+                   cell fs fg fa);
+              gate (ns <= ng && ng <= na)
+                (Printf.sprintf "%s: NOTPM must hold sync <= group <= async, got %.0f, %.0f, %.0f"
+                   cell ns ng na)
+          | _ -> ())
         terminal_counts)
     [ "si"; "si-cv"; "sias"; "sias-v" ];
   T.print tbl;
@@ -566,35 +618,24 @@ let ablation_repl () =
                   }
               in
               let rs = Option.get o.repl_stats in
-              T.add_row tbl
+              let fields =
                 [
-                  engine_name engine;
-                  rs.R.mode_label;
-                  T.fmt_float ~decimals:2 (1000.0 *. delay);
-                  T.fmt_float ~decimals:0 o.result.W.notpm;
-                  string_of_int rs.R.shipped_records;
-                  string_of_int rs.R.installed_records;
-                  string_of_int rs.R.lag_records;
-                  string_of_int rs.R.retransmits;
-                  string_of_int rs.R.degraded_acks;
-                  string_of_int rs.R.link_dropped;
-                ];
-              repl_results :=
-                !repl_results
-                @ [
-                    ( Printf.sprintf "%s/%s/delay%gms" engine rs.R.mode_label
-                        (1000.0 *. delay),
-                      [
-                        ("notpm", o.result.W.notpm);
-                        ("shipped_records", float_of_int rs.R.shipped_records);
-                        ( "installed_records",
-                          float_of_int rs.R.installed_records );
-                        ("lag_records", float_of_int rs.R.lag_records);
-                        ("retransmits", float_of_int rs.R.retransmits);
-                        ("degraded_acks", float_of_int rs.R.degraded_acks);
-                        ("link_dropped", float_of_int rs.R.link_dropped);
-                      ] );
-                  ])
+                  ("notpm", "1/min", o.result.W.notpm);
+                  ("shipped_records", "count", float_of_int rs.R.shipped_records);
+                  ("installed_records", "count", float_of_int rs.R.installed_records);
+                  ("lag_records", "count", float_of_int rs.R.lag_records);
+                  ("retransmits", "count", float_of_int rs.R.retransmits);
+                  ("degraded_acks", "count", float_of_int rs.R.degraded_acks);
+                  ("link_dropped", "count", float_of_int rs.R.link_dropped);
+                ]
+              in
+              T.add_row tbl
+                (engine_name engine :: rs.R.mode_label
+                :: T.fmt_float ~decimals:2 (1000.0 *. delay)
+                :: List.map (fun (_, _, v) -> T.fmt_float ~decimals:0 v) fields);
+              record
+                (Printf.sprintf "%s/%s/delay%gms" engine rs.R.mode_label (1000.0 *. delay))
+                fields)
             delays)
         [ R.Ship_async; R.Remote_flush ])
     [ "si"; "si-cv"; "sias"; "sias-v" ];
@@ -700,7 +741,6 @@ let ablation_isolation () =
         "dNOTPM%"; "lin-edges"; "tbl-edges"; "checker";
       ]
   in
-  let gate_failures = ref 0 in
   List.iter
     (fun engine ->
       let si_notpm = ref 0.0 in
@@ -720,21 +760,24 @@ let ablation_isolation () =
             100.0 *. float_of_int aborted
             /. float_of_int (max 1 (committed + aborted))
           in
-          (* acceptance gates: si must exhibit the anomaly, the
-             serializable levels must not, and the TPC-C run must stay
-             checker-clean at every level *)
-          if level = "si" && cycles = 0 then incr gate_failures;
-          if level <> "si" && cycles > 0 then incr gate_failures;
-          let tpcc_cycles =
+          let key = engine ^ "/" ^ level in
+          let violations, tpcc_cycles =
             match o.checker with
-            | Some c ->
-                if Mvcc.Sichecker.violation_count c > 0 then
-                  incr gate_failures;
-                if level <> "si" && Mvcc.Sichecker.cycle_count c > 0 then
-                  incr gate_failures;
-                Mvcc.Sichecker.cycle_count c
-            | None -> 0
+            | Some c -> (Mvcc.Sichecker.violation_count c, Mvcc.Sichecker.cycle_count c)
+            | None -> (0, 0)
           in
+          (* si must exhibit the anomaly, the serializable levels must
+             not, and the TPC-C run must stay checker-clean at every level *)
+          if level = "si" then
+            gate (cycles > 0) (key ^ ": write skew must commit anomalies under si")
+          else begin
+            gate (cycles = 0)
+              (Printf.sprintf "%s: %d write-skew anomaly cycles committed" key cycles);
+            gate (tpcc_cycles = 0)
+              (Printf.sprintf "%s: %d TPC-C serializability cycles" key tpcc_cycles)
+          end;
+          gate (violations = 0)
+            (Printf.sprintf "%s: %d TPC-C SI checker violations" key violations);
           T.add_row tbl
             [
               engine_name engine;
@@ -749,22 +792,17 @@ let ablation_isolation () =
               (if tpcc_cycles = 0 then "OK"
                else Printf.sprintf "%d cycles" tpcc_cycles);
             ];
-          isolation_results :=
-            !isolation_results
-            @ [
-                ( engine ^ "/" ^ level,
-                  [
-                    ("anomaly_cycles", float_of_int cycles);
-                    ("serialization_aborts", float_of_int aborted);
-                    ("abort_rate_pct", abort_pct);
-                    ("notpm", notpm);
-                    ("notpm_delta_vs_si_pct", delta);
-                    ( "tpcc_aborted",
-                      float_of_int o.result.W.total_aborted );
-                    ("lineage_edges", float_of_int lin);
-                    ("table_edges", float_of_int tab);
-                  ] );
-              ])
+          record key
+            [
+              ("anomaly_cycles", "count", float_of_int cycles);
+              ("serialization_aborts", "count", float_of_int aborted);
+              ("abort_rate_pct", "%", abort_pct);
+              ("notpm", "1/min", notpm);
+              ("notpm_delta_vs_si_pct", "%", delta);
+              ("tpcc_aborted", "count", float_of_int o.result.W.total_aborted);
+              ("lineage_edges", "count", float_of_int lin);
+              ("table_edges", "count", float_of_int tab);
+            ])
         [ "si"; "ssi"; "wsi" ])
     [ "si"; "si-cv"; "sias"; "sias-v" ];
   T.print tbl;
@@ -775,14 +813,7 @@ let ablation_isolation () =
   note "lin-edges vs tbl-edges: on sias/sias-v the rw edges ride the co-located";
   note "version lineage the visibility walk already traverses; the si engines";
   note "fall back to probing the SIREAD writes table. dNOTPM%% is the tracking";
-  note "overhead vs the same engine at plain si (serial driver: pure CPU cost).";
-  if !gate_failures > 0 then begin
-    note "";
-    note "ISOLATION GATE FAILED: %d violation(s) -- si must show anomalies on"
-      !gate_failures;
-    note "write skew, ssi/wsi must show none, and TPC-C must stay checker-clean.";
-    exit 1
-  end
+  note "overhead vs the same engine at plain si (serial driver: pure CPU cost)."
 
 (* ------------------------------------------------------------------ *)
 (* bench index: paged B+Tree write amplification + buffer pressure     *)
@@ -834,14 +865,10 @@ let ablation_index () =
       if engine = "si" then si_write_mb := o.run_write_mb;
       (* the paper's headline must survive the paged index: the append
          engines cannot write more to the device than SI on this run *)
-      if
-        (engine = "sias" || engine = "sias-v")
-        && o.run_write_mb > !si_write_mb +. 0.05
-      then begin
-        incr index_gate_failures;
-        note "!! %s wrote %.1f MB > SI's %.1f MB with the paged index" engine
-          o.run_write_mb !si_write_mb
-      end;
+      if engine = "sias" || engine = "sias-v" then
+        gate (o.run_write_mb <= !si_write_mb +. 0.05)
+          (Printf.sprintf "%s wrote %.1f MB > SI's %.1f MB with the paged index" engine
+             o.run_write_mb !si_write_mb);
       T.add_row tbl
         [
           engine_name engine;
@@ -855,26 +882,22 @@ let ablation_index () =
           string_of_int io.ix_merges;
           string_of_int io.ix_height;
         ];
-      index_results :=
-        !index_results
-        @ [
-            ( engine ^ "/paged",
-              [
-                ("notpm", o.result.W.notpm);
-                ("device_write_mb", o.run_write_mb);
-                ("device_read_mb", o.run_read_mb);
-                ("index_flush_mb", io.ix_flush_mb);
-                ("index_flush_pages", float_of_int io.ix_flush_count);
-                ("heap_flush_mb", io.heap_flush_mb);
-                ("index_logical_mb", io.ix_logical_mb);
-                ("index_write_amplification", wa);
-                ("index_entries", float_of_int io.ix_entries);
-                ("index_nodes", float_of_int io.ix_nodes);
-                ("index_height", float_of_int io.ix_height);
-                ("index_splits", float_of_int io.ix_splits);
-                ("index_merges", float_of_int io.ix_merges);
-              ] );
-          ])
+      record (engine ^ "/paged")
+        [
+          ("notpm", "1/min", o.result.W.notpm);
+          ("device_write_mb", "MB", o.run_write_mb);
+          ("device_read_mb", "MB", o.run_read_mb);
+          ("index_flush_mb", "MB", io.ix_flush_mb);
+          ("index_flush_pages", "pages", float_of_int io.ix_flush_count);
+          ("heap_flush_mb", "MB", io.heap_flush_mb);
+          ("index_logical_mb", "MB", io.ix_logical_mb);
+          ("index_write_amplification", "ratio", wa);
+          ("index_entries", "count", float_of_int io.ix_entries);
+          ("index_nodes", "count", float_of_int io.ix_nodes);
+          ("index_height", "count", float_of_int io.ix_height);
+          ("index_splits", "count", float_of_int io.ix_splits);
+          ("index_merges", "count", float_of_int io.ix_merges);
+        ])
     [ "si"; "si-cv"; "sias"; "sias-v" ];
   T.print tbl;
   note "ix WA = index MB flushed / logical entry MB: slotted 8 KB pages";
@@ -886,17 +909,13 @@ let ablation_index () =
   note "";
   note "sias-v array index, same run: %.0f NOTPM, %.1f MB written (ix %.2f MB)"
     arr.result.W.notpm arr.run_write_mb arr_io.ix_flush_mb;
-  index_results :=
-    !index_results
-    @ [
-        ( "sias-v/array",
-          [
-            ("notpm", arr.result.W.notpm);
-            ("device_write_mb", arr.run_write_mb);
-            ("index_flush_mb", arr_io.ix_flush_mb);
-            ("heap_flush_mb", arr_io.heap_flush_mb);
-          ] );
-      ];
+  record "sias-v/array"
+    [
+      ("notpm", "1/min", arr.result.W.notpm);
+      ("device_write_mb", "MB", arr.run_write_mb);
+      ("index_flush_mb", "MB", arr_io.ix_flush_mb);
+      ("heap_flush_mb", "MB", arr_io.heap_flush_mb);
+    ];
   (* buffer-pressure sweep: index share of the writes vs pool size *)
   let buffers = if !full then [ 256; 512; 1024; 2048; 4096 ] else [ 256; 1024; 4096 ] in
   let tbl =
@@ -918,18 +937,15 @@ let ablation_index () =
           T.fmt_float ~decimals:2 io.heap_flush_mb;
           T.fmt_float ~decimals:1 share;
         ];
-      index_results :=
-        !index_results
-        @ [
-            ( Printf.sprintf "sias-v/paged/buf%d" buffer_pages,
-              [
-                ("buffer_pages", float_of_int buffer_pages);
-                ("notpm", o.result.W.notpm);
-                ("index_flush_mb", io.ix_flush_mb);
-                ("heap_flush_mb", io.heap_flush_mb);
-                ("index_write_share_pct", share);
-              ] );
-          ])
+      record
+        (Printf.sprintf "sias-v/paged/buf%d" buffer_pages)
+        [
+          ("buffer_pages", "pages", float_of_int buffer_pages);
+          ("notpm", "1/min", o.result.W.notpm);
+          ("index_flush_mb", "MB", io.ix_flush_mb);
+          ("heap_flush_mb", "MB", io.heap_flush_mb);
+          ("index_write_share_pct", "%", share);
+        ])
     buffers;
   T.print tbl;
   note "shrinking the pool forces index pages out through the same bgwriter/";
@@ -943,8 +959,8 @@ let ablation_index () =
    time: they exist to prove the hot-path data structures (hint bits,
    array CLOG, binary-search snapshots, fixed-slot vectors) got faster.
    Simulated results are byte-identical by construction; wall clock is
-   where the win shows. --bench-out writes BENCH_5.json; --bench-baseline
-   embeds a pre-change run's JSON and prints the speedups. *)
+   where the win shows. Every figure is a [Wall] row. Same-host A/B
+   comparisons go through perfbench/run.py, which pairs repeated runs. *)
 
 (* CLOCK_MONOTONIC, not [Unix.gettimeofday]: wall-of-day steps under NTP
    slew/step, so a timed window could be negative or wildly long and a
@@ -970,7 +986,7 @@ let time_ops ~min_time batch =
   done;
   !best
 
-let micro_engine key (module E : Mvcc.Engine.S) =
+let micro_engine (module E : Mvcc.Engine.S) =
   let module V = Mvcc.Value in
   let min_time = if !full then 2.0 else 0.4 in
   let rng = Sias_util.Rng.create 99 in
@@ -1077,36 +1093,19 @@ let micro_engine key (module E : Mvcc.Engine.S) =
   let vis_scan = time_ops ~min_time (fun () -> E.scan eng reader hot (fun _ -> ())) in
   E.commit eng reader |> Result.get_ok;
   List.iter (fun t -> E.abort eng t) crowd;
-  (* the simulated headline number, for the record *)
-  let t0 = wall () in
-  let o =
-    run_tpcc
-      {
-        (default_setup ~engine:key ~warehouses:2) with
-        duration_s = 10.0;
-        buffer_pages = 1024;
-        scale_div = 300;
-        gc_interval_s = Some 30.0;
-      }
-  in
-  let tpcc_wall = wall () -. t0 in
   [
-    ("point_read_ops_per_s", point_read);
-    ("scan_rows_per_s", scan);
-    ("update_ops_per_s", update);
-    ("btree_point_lookup_ops_per_s", btree_point);
-    ("btree_range_scan_rows_per_s", btree_range);
-    ("btree_insert_ops_per_s", btree_insert);
-    ("visibility_scan_rows_per_s", vis_scan);
-    ("notpm", o.result.W.notpm);
-    ("tpcc_wall_s", tpcc_wall);
+    ("point_read_ops_per_s", "1/s", point_read);
+    ("scan_rows_per_s", "rows/s", scan);
+    ("update_ops_per_s", "1/s", update);
+    ("btree_point_lookup_ops_per_s", "1/s", btree_point);
+    ("btree_range_scan_rows_per_s", "rows/s", btree_range);
+    ("btree_insert_ops_per_s", "1/s", btree_insert);
+    ("visibility_scan_rows_per_s", "rows/s", vis_scan);
   ]
 
 (* Engine-independent visibility check: the bare isVisible predicate
    against a populated transaction manager -- CLOG representation and
    snapshot membership with nothing else on the path. *)
-let micro_core_results : (string * float) list ref = ref []
-
 let micro_core () =
   let module Txn = Sias_txn.Txn in
   let min_time = if !full then 2.0 else 0.4 in
@@ -1130,286 +1129,48 @@ let micro_core () =
   in
   Txn.commit mgr reader;
   List.iter (fun t -> Txn.abort mgr t) crowd;
-  micro_core_results := [ ("visibility_check_ops_per_s", rate) ];
+  record ~kind:Wall "core" [ ("visibility_check_ops_per_s", "1/s", rate) ];
   note "isVisible predicate (20k xids, 2k concurrent): %.0f checks/s" rate
-
-(* Pull ["<engine>": {... "<field>": <num> ...}] out of a baseline JSON
-   with plain string scanning -- no JSON dependency for one float. *)
-let baseline_field ~json ~engine ~field =
-  let find_from pos needle =
-    let n = String.length needle and len = String.length json in
-    let rec go i =
-      if i + n > len then None
-      else if String.sub json i n = needle then Some (i + n)
-      else go (i + 1)
-    in
-    go pos
-  in
-  match find_from 0 (Printf.sprintf "%S: {" engine) with
-  | None -> None
-  | Some p -> (
-      match find_from p (Printf.sprintf "%S: " field) with
-      | None -> None
-      | Some q ->
-          let r = ref q in
-          let len = String.length json in
-          while !r < len && not (List.mem json.[!r] [ ','; '}'; '\n' ]) do
-            incr r
-          done;
-          float_of_string_opt (String.trim (String.sub json q (!r - q))))
 
 let micro () =
   section "Micro-benchmarks: wall-clock ops/sec on the engine hot paths";
   micro_core ();
-  let engines = Mvcc.Engine.all () in
-  micro_results :=
-    List.map (fun (key, m) -> (key, micro_engine key m)) engines;
+  let results = List.map (fun (key, m) -> (key, micro_engine m)) (Mvcc.Engine.all ()) in
+  List.iter (fun (key, fields) -> record ~kind:Wall key fields) results;
   let tbl =
     T.create
-      [ "engine"; "point read/s"; "scan rows/s"; "update/s"; "vis-scan rows/s"; "NOTPM" ]
+      [
+        "engine"; "point read/s"; "scan rows/s"; "update/s"; "paged lookup/s";
+        "paged range rows/s"; "paged insert/s"; "vis-scan rows/s";
+      ]
   in
   List.iter
     (fun (key, fields) ->
-      let get f = List.assoc f fields in
       T.add_row tbl
-        [
-          engine_name key;
-          T.fmt_float ~decimals:0 (get "point_read_ops_per_s");
-          T.fmt_float ~decimals:0 (get "scan_rows_per_s");
-          T.fmt_float ~decimals:0 (get "update_ops_per_s");
-          T.fmt_float ~decimals:0 (get "visibility_scan_rows_per_s");
-          T.fmt_float ~decimals:0 (get "notpm");
-        ])
-    !micro_results;
-  T.print tbl;
-  let tbl =
-    T.create
-      [ "engine (paged B+Tree)"; "point lookup/s"; "range rows/s"; "insert/s" ]
-  in
-  List.iter
-    (fun (key, fields) ->
-      let get f = List.assoc f fields in
-      T.add_row tbl
-        [
-          engine_name key;
-          T.fmt_float ~decimals:0 (get "btree_point_lookup_ops_per_s");
-          T.fmt_float ~decimals:0 (get "btree_range_scan_rows_per_s");
-          T.fmt_float ~decimals:0 (get "btree_insert_ops_per_s");
-        ])
-    !micro_results;
-  T.print tbl;
-  match !bench_baseline with
-  | None -> ()
-  | Some path ->
-      let ic = open_in path in
-      let json = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      note "\nspeedup vs baseline (%s):" path;
-      (match
-         ( baseline_field ~json ~engine:"core" ~field:"visibility_check_ops_per_s",
-           !micro_core_results )
-       with
-      | Some base, [ (_, now) ] when base > 0.0 ->
-          note "  %-12s isVisible predicate   %.2fx (%.0f -> %.0f checks/s)" "core"
-            (now /. base) base now
-      | _ -> ());
-      List.iter
-        (fun (key, fields) ->
-          match baseline_field ~json ~engine:key ~field:"visibility_scan_rows_per_s" with
-          | Some base when base > 0.0 ->
-              let now = List.assoc "visibility_scan_rows_per_s" fields in
-              note "  %-12s visibility-heavy scan %.2fx (%.0f -> %.0f rows/s)"
-                (engine_name key) (now /. base) base now
-          | _ -> note "  %-12s (no baseline figure)" (engine_name key))
-        !micro_results
+        (engine_name key :: List.map (fun (_, _, v) -> T.fmt_float ~decimals:0 v) fields))
+    results;
+  T.print tbl
 
-(* BENCH_5.json: micro results (when the micro bench ran), the run's
-   total wall time, and the embedded baseline if one was given. *)
-let write_bench_json ~wall_s =
-  match !bench_out with
-  | None -> ()
-  | Some path ->
-      let buf = Buffer.create 4096 in
-      Buffer.add_string buf "{\n";
-      Buffer.add_string buf
-        (Printf.sprintf "  \"bench\": \"sias micro\",\n  \"mode\": %S,\n"
-           (if !full then "full" else "quick"));
-      Buffer.add_string buf (Printf.sprintf "  \"wall_time_s\": %.2f,\n" wall_s);
-      Buffer.add_string buf "  \"engines\": {";
-      List.iteri
-        (fun i (key, fields) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Printf.sprintf "\n    %S: {" key);
-          List.iteri
-            (fun j (f, v) ->
-              if j > 0 then Buffer.add_char buf ',';
-              Buffer.add_string buf (Printf.sprintf "\n      %S: %.1f" f v))
-            fields;
-          Buffer.add_string buf "\n    }")
-        !micro_results;
-      Buffer.add_string buf "\n  }";
-      if !micro_core_results <> [] then begin
-        Buffer.add_string buf ",\n  \"core\": {";
-        List.iteri
-          (fun j (f, v) ->
-            if j > 0 then Buffer.add_char buf ',';
-            Buffer.add_string buf (Printf.sprintf "\n    %S: %.1f" f v))
-          !micro_core_results;
-        Buffer.add_string buf "\n  }"
-      end;
-      if !repl_results <> [] then begin
-        Buffer.add_string buf ",\n  \"repl\": {";
-        List.iteri
-          (fun i (key, fields) ->
-            if i > 0 then Buffer.add_char buf ',';
-            Buffer.add_string buf (Printf.sprintf "\n    %S: {" key);
-            List.iteri
-              (fun j (f, v) ->
-                if j > 0 then Buffer.add_char buf ',';
-                Buffer.add_string buf (Printf.sprintf "\n      %S: %.1f" f v))
-              fields;
-            Buffer.add_string buf "\n    }")
-          !repl_results;
-        Buffer.add_string buf "\n  }"
-      end;
-      if !isolation_results <> [] then begin
-        Buffer.add_string buf ",\n  \"isolation\": {";
-        List.iteri
-          (fun i (key, fields) ->
-            if i > 0 then Buffer.add_char buf ',';
-            Buffer.add_string buf (Printf.sprintf "\n    %S: {" key);
-            List.iteri
-              (fun j (f, v) ->
-                if j > 0 then Buffer.add_char buf ',';
-                Buffer.add_string buf (Printf.sprintf "\n      %S: %.1f" f v))
-              fields;
-            Buffer.add_string buf "\n    }")
-          !isolation_results;
-        Buffer.add_string buf "\n  }"
-      end;
-      if !index_results <> [] then begin
-        Buffer.add_string buf ",\n  \"index\": {";
-        List.iteri
-          (fun i (key, fields) ->
-            if i > 0 then Buffer.add_char buf ',';
-            Buffer.add_string buf (Printf.sprintf "\n    %S: {" key);
-            List.iteri
-              (fun j (f, v) ->
-                if j > 0 then Buffer.add_char buf ',';
-                Buffer.add_string buf (Printf.sprintf "\n      %S: %.3f" f v))
-              fields;
-            Buffer.add_string buf "\n    }")
-          !index_results;
-        Buffer.add_string buf "\n  }"
-      end;
-      if !multicore_results <> [] then begin
-        Buffer.add_string buf ",\n  \"multicore\": {";
-        List.iteri
-          (fun i (key, fields) ->
-            if i > 0 then Buffer.add_char buf ',';
-            Buffer.add_string buf (Printf.sprintf "\n    %S: {" key);
-            List.iteri
-              (fun j (f, v) ->
-                if j > 0 then Buffer.add_char buf ',';
-                Buffer.add_string buf (Printf.sprintf "\n      %S: %.1f" f v))
-              fields;
-            Buffer.add_string buf "\n    }")
-          !multicore_results;
-        Buffer.add_string buf "\n  }"
-      end;
-      (match !bench_baseline with
-      | Some bpath when Sys.file_exists bpath ->
-          let ic = open_in bpath in
-          let json = String.trim (really_input_string ic (in_channel_length ic)) in
-          close_in ic;
-          if String.length json > 0 && json.[0] = '{' then begin
-            Buffer.add_string buf ",\n  \"baseline\": ";
-            Buffer.add_string buf json
-          end
-      | _ -> ());
-      Buffer.add_string buf "\n}\n";
-      let oc = open_out path in
-      output_string oc (Buffer.contents buf);
-      close_out oc;
-      Printf.printf "bench results -> %s\n%!" path
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the core data structures               *)
-
-let micro_structs () =
-  section "Micro-benchmarks (Bechamel): core data-structure operations";
-  let open Bechamel in
-  let vidmap = Vidmap.create () in
-  for i = 0 to 99_999 do
-    let v = Vidmap.alloc_vid vidmap in
-    Vidmap.set vidmap ~vid:v (Sias_storage.Tid.make ~block:i ~slot:0)
-  done;
-  let rng = Sias_util.Rng.create 7 in
-  let test_vidmap_get =
-    Test.make ~name:"vidmap.get (C_R = O(1)+CPU)"
-      (Staged.stage (fun () ->
-           ignore (Vidmap.get vidmap ~vid:(Sias_util.Rng.int rng 100_000))))
-  in
-  let test_vidmap_set =
-    Test.make ~name:"vidmap.set (C_W = 2*C_R)"
-      (Staged.stage (fun () ->
-           Vidmap.set vidmap
-             ~vid:(Sias_util.Rng.int rng 100_000)
-             (Sias_storage.Tid.make ~block:1 ~slot:1)))
-  in
-  let mgr = Sias_txn.Txn.create_mgr () in
-  let txns = Array.init 64 (fun _ -> Sias_txn.Txn.begin_txn mgr) in
-  Array.iter (fun t -> Sias_txn.Txn.commit mgr t) txns;
-  let reader = Sias_txn.Txn.begin_txn mgr in
-  let test_visibility =
-    Test.make ~name:"isVisible (Algorithm 1 predicate)"
-      (Staged.stage (fun () ->
-           ignore
-             (Sias_txn.Txn.visible mgr reader.Sias_txn.Txn.snapshot
-                (1 + Sias_util.Rng.int rng 64))))
-  in
-  let clock = Sias_util.Simclock.create () in
-  let device = Flashsim.Device.ssd_x25e ~blocks:4096 () in
-  let pool = Sias_storage.Bufpool.create ~device ~clock ~capacity_pages:4096 () in
-  let btree = Sias_index.Btree.create pool ~rel:0 in
-  for k = 1 to 100_000 do
-    Sias_index.Btree.insert btree ~key:k ~payload:k
-  done;
-  let test_btree =
-    Test.make ~name:"btree.lookup (100k keys)"
-      (Staged.stage (fun () ->
-           ignore (Sias_index.Btree.lookup btree ~key:(1 + Sias_util.Rng.int rng 100_000))))
-  in
-  let page = Sias_storage.Page.create ~size:8192 in
-  let item = Bytes.make 100 'x' in
-  let test_page =
-    Test.make ~name:"page append+delete (slotted page)"
-      (Staged.stage (fun () ->
-           match Sias_storage.Page.insert page item with
-           | Some slot -> Sias_storage.Page.delete page slot
-           | None -> ()))
-  in
-  let tests =
-    Test.make_grouped ~name:"sias"
-      [ test_vidmap_get; test_vidmap_set; test_visibility; test_btree; test_page ]
-  in
-  let raw =
-    Benchmark.all
-      (Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ())
-      Toolkit.Instance.[ monotonic_clock ]
-      tests
-  in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name o acc -> (name, o) :: acc) results [] in
-  List.iter
-    (fun (name, o) ->
-      match Analyze.OLS.estimates o with
-      | Some [ est ] -> note "  %-50s %10.1f ns/op" name est
-      | _ -> note "  %-50s (no estimate)" name)
-    (List.sort compare rows)
-
-(* ------------------------------------------------------------------ *)
+(* The results file: a header naming the chapters that ran, then one row
+   per line, so grep and diff can compare runs. *)
+let write_results ~chapters ~wall_s path =
+  let oc = open_out path in
+  Printf.fprintf oc "{\n  \"bench\": %S,\n  \"mode\": %S,\n  \"wall_time_s\": %.2f,\n  \"rows\": ["
+    (String.concat " " chapters)
+    (if !full then "full" else "quick")
+    wall_s;
+  List.iteri
+    (fun i r ->
+      Printf.fprintf oc
+        "%s\n    {\"chapter\": %S, \"key\": %S, \"metric\": %S, \"unit\": %S, \"kind\": %S, \"value\": %.8g}"
+        (if i > 0 then "," else "")
+        r.chapter r.key r.metric r.unit
+        (match r.kind with Sim -> "sim" | Wall -> "wall")
+        r.value)
+    (List.rev !rows);
+  output_string oc "\n  ]\n}\n";
+  close_out oc;
+  Printf.printf "bench results -> %s\n%!" path
 
 (* ------------------------------------------------------------------ *)
 (* multicore: N shards of the same TPC-C setup, each a complete run_tpcc
@@ -1442,32 +1203,27 @@ let multicore_bench () =
           let speedup =
             if !base_notpm > 0.0 then a.agg_notpm /. !base_notpm else 0.0
           in
-          multicore_violations := !multicore_violations + a.violations;
           note
             "  %-7s domains=%d  agg %7.0f NOTPM (%.2fx vs 1 domain)  wall %6.2fs \
              %7.0f NOTPM-wall  violations %d"
             engine domains a.agg_notpm speedup a.wall_s a.wall_notpm a.violations;
-          multicore_results :=
-            !multicore_results
-            @ [
-                ( Printf.sprintf "%s/d%d" engine domains,
-                  [
-                    ("domains", float_of_int domains);
-                    ("warehouses_per_domain", float_of_int setup.warehouses);
-                    ("agg_notpm", a.agg_notpm);
-                    ("notpm_scaling_vs_1domain", speedup);
-                    ("wall_s", a.wall_s);
-                    ("wall_notpm", a.wall_notpm);
-                    ("total_committed", float_of_int a.committed);
-                    ("new_orders", float_of_int a.new_orders);
-                    ("violations", float_of_int a.violations);
-                  ] );
-              ])
+          let key = Printf.sprintf "%s/d%d" engine domains in
+          record key
+            [
+              ("domains", "count", float_of_int domains);
+              ("warehouses_per_domain", "count", float_of_int setup.warehouses);
+              ("agg_notpm", "1/min", a.agg_notpm);
+              ("notpm_scaling_vs_1domain", "ratio", speedup);
+              ("total_committed", "count", float_of_int a.committed);
+              ("new_orders", "count", float_of_int a.new_orders);
+              ("violations", "count", float_of_int a.violations);
+            ];
+          record ~kind:Wall key
+            [ ("wall_s", "s", a.wall_s); ("wall_notpm", "1/min", a.wall_notpm) ];
+          gate (a.violations = 0)
+            (Printf.sprintf "%s: %d SI checker violations" key a.violations))
         domain_counts)
-    engines;
-  if !multicore_violations > 0 then
-    note "!! SI checker reported %d violations -- bench will exit non-zero"
-      !multicore_violations
+    engines
 
 let experiments =
   [
@@ -1489,7 +1245,6 @@ let experiments =
     ("isolation", ablation_isolation);
     ("index", ablation_index);
     ("micro", micro);
-    ("structs", micro_structs);
     ("multicore", multicore_bench);
   ]
 
@@ -1536,9 +1291,6 @@ let () =
     | "--bench-out" :: path :: rest ->
         bench_out := Some path;
         filter rest
-    | "--bench-baseline" :: path :: rest ->
-        bench_baseline := Some path;
-        filter rest
     | "--trace-out" :: path :: rest ->
         trace_out := Some path;
         filter rest
@@ -1577,20 +1329,18 @@ let () =
         (String.concat ", " (List.map fst experiments));
       exit 2);
   let t0 = Sias_util.Monotime.now () in
-  List.iter (fun name -> (List.assoc name experiments) ()) chosen;
+  List.iter
+    (fun name ->
+      chapter := name;
+      (List.assoc name experiments) ())
+    chosen;
   let wall_s = Sias_util.Monotime.elapsed_since t0 in
   Printf.printf "\n(total wall time %.1f s%s)\n" wall_s
     (if !full then ", full mode" else ", quick mode; pass --full for paper-scale parameters");
-  write_bench_json ~wall_s;
-  if !multicore_violations > 0 then begin
-    Printf.printf "FAIL: SI checker reported %d violations during the multicore bench\n"
-      !multicore_violations;
-    exit 1
-  end;
-  if !index_gate_failures > 0 then begin
-    Printf.printf
-      "FAIL: %d index-bench gate violation(s) -- SIAS/SIAS-V device writes \
-       must stay <= SI with the paged index\n"
-      !index_gate_failures;
-    exit 1
-  end
+  Option.iter (write_results ~chapters:chosen ~wall_s) !bench_out;
+  match List.rev !gate_failures with
+  | [] -> ()
+  | failures ->
+      Printf.printf "\nGATE FAILED: %d check(s) did not hold\n" (List.length failures);
+      List.iter (fun (c, msg) -> Printf.printf "  [%s] %s\n" c msg) failures;
+      exit 1
